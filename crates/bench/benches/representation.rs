@@ -1,9 +1,9 @@
-//! Criterion micro-benchmarks of reservoir representations: the DPRR
-//! (O(T·N_x²)) against the last-state and mean-state baselines.
+//! Criterion micro-benchmark of the DPRR reservoir representation
+//! (O(T·N_x²)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dfr_linalg::Matrix;
-use dfr_reservoir::representation::{Dprr, LastState, MeanState, Representation};
+use dfr_reservoir::representation::Dprr;
 
 fn states(t: usize, nx: usize) -> Matrix {
     let data: Vec<f64> = (0..t * nx).map(|i| ((i as f64) * 0.41).sin()).collect();
@@ -17,14 +17,6 @@ fn bench_representations(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dprr", t), &t, |b, _| {
             let mut out = vec![0.0; Dprr.dim(30)];
             b.iter(|| Dprr.features_into(std::hint::black_box(&history), &mut out))
-        });
-        group.bench_with_input(BenchmarkId::new("last_state", t), &t, |b, _| {
-            let mut out = vec![0.0; LastState.dim(30)];
-            b.iter(|| LastState.features_into(std::hint::black_box(&history), &mut out))
-        });
-        group.bench_with_input(BenchmarkId::new("mean_state", t), &t, |b, _| {
-            let mut out = vec![0.0; MeanState.dim(30)];
-            b.iter(|| MeanState.features_into(std::hint::black_box(&history), &mut out))
         });
     }
     group.finish();

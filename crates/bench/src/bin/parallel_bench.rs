@@ -31,7 +31,7 @@ use dfr_bench::{
 use dfr_core::grid::{landscape, GridOptions};
 use dfr_linalg::ridge::{ridge_fit_with, RidgeMode};
 use dfr_linalg::Matrix;
-use dfr_reservoir::representation::{feature_matrix, Dprr};
+use dfr_reservoir::representation::feature_matrix;
 use std::time::Instant;
 
 /// Mean wall-clock seconds of `f` over `repeats` runs (after one warm-up),
@@ -111,7 +111,7 @@ fn main() {
         ),
         (
             "dprr_features_96",
-            Box::new(|| feature_matrix(&Dprr, &runs).into_vec()),
+            Box::new(|| feature_matrix(&runs).into_vec()),
         ),
         (
             "fig6_landscape",

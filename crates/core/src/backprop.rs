@@ -130,7 +130,8 @@ pub struct BackpropOptions {
 /// Runs one backward pass, returning `(loss, gradients)`.
 ///
 /// `series` is the raw `T × C` input (needed only for mask gradients),
-/// `cache` the matching forward pass, `target` the one-hot label.
+/// `cache` the matching forward pass (so `T ≥ 1`: every forward pass
+/// rejects an empty series), `target` the one-hot label.
 ///
 /// # Errors
 ///
@@ -205,7 +206,7 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
     // stage below needs — carries the same 1/T factor.
     ws.dr.resize(nr, 0.0);
     model.w_out().t_matvec_into(&ws.g, &mut ws.dr)?;
-    let scale = 1.0 / (cache.run.len().max(1) as f64);
+    let scale = 1.0 / (t_len as f64);
     for d in &mut ws.dr {
         *d *= scale;
     }
@@ -217,11 +218,6 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
         mg.fill_zero();
     } else {
         ws.grads.mask = None;
-    }
-
-    // Degenerate empty series: only the readout has gradients.
-    if t_len == 0 {
-        return Ok(loss);
     }
 
     // Split ∂L/∂r into the product block (N_x × N_x) and the bias block.

@@ -6,7 +6,7 @@ use dfr_linalg::Matrix;
 use dfr_reservoir::mask::Mask;
 use dfr_reservoir::modular::{ModularDfr, ReservoirRun};
 use dfr_reservoir::nonlinearity::{Linear, Nonlinearity};
-use dfr_reservoir::representation::{Dprr, Representation};
+use dfr_reservoir::representation::Dprr;
 
 /// A DFR classifier (paper Fig. 2 plus the output layer of §3.1):
 /// modular reservoir, dot-product reservoir representation and a linear
@@ -218,19 +218,15 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
     }
 
     /// Forward pass from a pre-computed reservoir run (lets the trainer
-    /// reuse masked inputs).
-    ///
-    /// The DPRR sums of paper Eqs. 18–19 are divided by the series length
-    /// `T` before entering the readout. This is a pure per-sample rescaling
-    /// — absorbed by `W_out` (and by the ridge refit), so the model class is
-    /// unchanged — but it makes the feature scale, and therefore the
-    /// paper's learning rate of 1.0, independent of `T` (which spans 28 to
-    /// 1917 across the evaluation datasets).
+    /// reuse masked inputs). The readout sees the DPRR sums scaled by `1/T`
+    /// ([`Dprr::normalize`]).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Linalg`] on internal shape errors (unreachable
-    /// for caches produced by this model).
+    /// Returns [`CoreError::Reservoir`] with
+    /// [`dfr_reservoir::ReservoirError::EmptySeries`] for an empty run, and
+    /// [`CoreError::Linalg`] on internal shape errors (unreachable for runs
+    /// produced by this model).
     pub fn forward_from_run(&self, run: ReservoirRun) -> Result<ForwardCache, CoreError> {
         let mut cache = ForwardCache::empty();
         cache.run = run;
@@ -242,13 +238,8 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
     /// cache's reused buffers (the shared tail of all forward entry
     /// points).
     fn finish_forward(&self, cache: &mut ForwardCache) -> Result<(), CoreError> {
-        let dim = Dprr.dim(cache.run.nodes());
-        cache.features.resize(dim, 0.0);
-        Dprr.features_into(cache.run.states(), &mut cache.features);
-        let scale = 1.0 / (cache.run.len().max(1) as f64);
-        for f in &mut cache.features {
-            *f *= scale;
-        }
+        cache.features.resize(Dprr.dim(cache.run.nodes()), 0.0);
+        Dprr.normalized_into(cache.run.states(), &mut cache.features)?;
         cache.logits.resize(self.num_classes(), 0.0);
         cache.probs.resize(self.num_classes(), 0.0);
         // Fused readout epilogue: one pass over W_out (lockstep matvec),

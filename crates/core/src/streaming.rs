@@ -8,8 +8,15 @@
 //! truncated backward pass needs (the paper's method keeps exactly the last
 //! two states).
 //!
-//! [`StreamingForward::run`] is bit-identical to the standard
-//! [`DfrClassifier::forward`] pipeline (tested), and
+//! The pass owns no arithmetic of its own: each step calls the kernels the
+//! materialising forward pass and the serving path run — the mask row
+//! (`Matrix::matvec_into`, the same `k`-ascending chain as the mask GEMM),
+//! [`dfr_reservoir::modular::recurrence_step`] and
+//! [`dfr_reservoir::representation::Dprr::accumulate`] — and ends in the
+//! shared `1/T` tail ([`Dprr::normalize`]) and readout epilogue. So
+//! [`StreamingForward::run`]'s features, logits and probabilities are
+//! bitwise equal to [`DfrClassifier::forward`] and to a frozen copy served
+//! by `dfr-serve` (both pinned by `to_bits` tests), and
 //! [`streaming_backprop`] consumes its output to produce exactly the
 //! truncated gradients of Eqs. 33–36 — so a memory-constrained embedded
 //! training loop never holds more than
@@ -20,10 +27,11 @@ use crate::backprop::{backprop, BackpropMode, BackpropOptions, Gradients};
 use crate::model::DfrClassifier;
 use crate::workspace::BackpropWorkspace;
 use crate::CoreError;
-use dfr_linalg::activation::{softmax_cross_entropy_grad_into, softmax_into};
+use dfr_linalg::activation::{dense_bias_softmax_into, softmax_cross_entropy_grad_into};
 use dfr_linalg::Matrix;
-use dfr_reservoir::modular::DIVERGENCE_LIMIT;
+use dfr_reservoir::modular::recurrence_step;
 use dfr_reservoir::nonlinearity::Nonlinearity;
+use dfr_reservoir::representation::Dprr;
 use dfr_reservoir::ReservoirError;
 
 /// Output of a constant-memory forward pass: everything the truncated
@@ -158,34 +166,22 @@ impl StreamingForward {
         cache: &mut StreamingCache,
     ) -> Result<(), CoreError> {
         let reservoir = model.reservoir();
+        let mask = reservoir.mask();
         let nx = reservoir.nodes();
-        if series.cols() != reservoir.mask().channels() {
+        if series.cols() != mask.channels() {
             return Err(ReservoirError::ChannelMismatch {
-                mask_channels: reservoir.mask().channels(),
+                mask_channels: mask.channels(),
                 input_channels: series.cols(),
             }
             .into());
         }
         let t_len = series.rows();
-        if t_len == 0 {
-            // A 0-row series has no reservoir trajectory: the DPRR sums are
-            // all zero and the 1/T normalisation is undefined, so the old
-            // behaviour (silently emitting the bias-only prediction) hid
-            // client bugs. Reject it with the same typed error the serving
-            // feature kernel uses — the server maps it onto `BadInput`.
-            return Err(ReservoirError::EmptySeries.into());
-        }
-        let a = reservoir.a();
-        let b = reservoir.b();
-        let f = reservoir.nonlinearity();
         let window = self.window.min(t_len);
 
-        // DPRR accumulators live directly in the feature buffer (raw sums;
-        // scaled by 1/T in place at the end).
-        cache.features.resize(nx * (nx + 1), 0.0);
+        // Raw DPRR sums accumulate in the feature buffer; rolling states
+        // prev = x(k−1) (zero before the series), current = x(k).
+        cache.features.resize(Dprr.dim(nx), 0.0);
         cache.features.fill(0.0);
-        let (products, sums) = cache.features.split_at_mut(nx * nx);
-        // Rolling states: prev = x(k−1), current = x(k).
         cache.prev.resize(nx, 0.0);
         cache.prev.fill(0.0);
         cache.current.resize(nx, 0.0);
@@ -201,33 +197,22 @@ impl StreamingForward {
         let mut state_pushes = 1usize;
         let mut masked_pushes = 0usize;
 
-        let mut chain = 0.0; // s_{t−1} carried across rows
+        // Per step, the kernels of the materialising forward pass: the
+        // mask row j(k) = M·u(k) (the k-ascending chain of the mask GEMM),
+        // the recurrence step `drive_frozen` loops over, and the DPRR step
+        // `Dprr::features_into` is bitwise equal to.
         for k in 0..t_len {
-            // j(k) = M·u(k), computed row-wise (no T×N_x buffer).
-            let u = series.row(k);
-            for (n, jn) in cache.j_row.iter_mut().enumerate() {
-                *jn = dfr_linalg::dot(reservoir.mask().matrix().row(n), u);
-            }
-            for n in 0..nx {
-                let z = cache.j_row[n] + cache.prev[n];
-                let s = a * f.eval(z) + b * chain;
-                if !s.is_finite() || s.abs() > DIVERGENCE_LIMIT {
-                    return Err(ReservoirError::Diverged { step: k }.into());
-                }
-                cache.current[n] = s;
-                chain = s;
-            }
-            // DPRR update: products += x(k) ⊗ x(k−1); sums += x(k).
-            for (i, &xi) in cache.current.iter().enumerate() {
-                sums[i] += xi;
-                if xi != 0.0 {
-                    let row = &mut products[i * nx..(i + 1) * nx];
-                    for (p, &xj) in row.iter_mut().zip(&cache.prev) {
-                        *p += xi * xj;
-                    }
-                }
-            }
-            // Maintain the trailing windows.
+            mask.matrix().matvec_into(series.row(k), &mut cache.j_row)?;
+            recurrence_step(
+                reservoir.a(),
+                reservoir.b(),
+                reservoir.nonlinearity(),
+                &cache.j_row,
+                Some(&cache.prev),
+                &mut cache.current,
+                k,
+            )?;
+            Dprr::accumulate(&mut cache.features, &cache.prev, &cache.current);
             cache
                 .tail_states
                 .row_mut(state_pushes % state_rows)
@@ -253,20 +238,17 @@ impl StreamingForward {
             cache.tail_masked.as_mut_slice().rotate_left(offset * nx);
         }
 
-        // Scale features by 1/T in place and run the readout.
-        let scale = 1.0 / (t_len as f64);
-        for v in &mut cache.features {
-            *v *= scale;
-        }
+        // The shared feature tail (rejects T = 0) and readout epilogue.
+        Dprr::normalize(&mut cache.features, t_len)?;
         cache.logits.resize(model.num_classes(), 0.0);
-        model
-            .w_out()
-            .matvec_into(&cache.features, &mut cache.logits)?;
-        for (l, bias) in cache.logits.iter_mut().zip(model.bias()) {
-            *l += bias;
-        }
         cache.probs.resize(model.num_classes(), 0.0);
-        softmax_into(&cache.logits, &mut cache.probs);
+        dense_bias_softmax_into(
+            model.w_out(),
+            &cache.features,
+            model.bias(),
+            &mut cache.logits,
+            &mut cache.probs,
+        )?;
         cache.t_len = t_len;
         Ok(())
     }
@@ -344,15 +326,12 @@ pub fn streaming_backprop_into<N: Nonlinearity + Clone>(
     }
     ws.dr.resize(nr, 0.0);
     model.w_out().t_matvec_into(&ws.g, &mut ws.dr)?;
-    let scale = 1.0 / (cache.t_len.max(1) as f64);
+    let scale = 1.0 / (cache.t_len as f64);
     for d in &mut ws.dr {
         *d *= scale;
     }
     ws.grads.a = 0.0;
     ws.grads.b = 0.0;
-    if cache.t_len == 0 || window == 0 {
-        return Ok(loss);
-    }
     ws.dr_products.resize(nx, nx);
     ws.dr_products
         .as_mut_slice()
@@ -457,6 +436,10 @@ mod tests {
         m
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn series(t: usize) -> Matrix {
         let data: Vec<f64> = (0..t * 2).map(|i| ((i as f64) * 0.53).sin()).collect();
         Matrix::from_vec(t, 2, data).expect("sized")
@@ -468,13 +451,9 @@ mod tests {
         let u = series(12);
         let standard = m.forward(&u).expect("standard");
         let streaming = StreamingForward::paper().run(&m, &u).expect("streaming");
-        assert_eq!(standard.features.len(), streaming.features.len());
-        for (a, b) in standard.features.iter().zip(&streaming.features) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        for (a, b) in standard.probs.iter().zip(&streaming.probs) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_eq!(bits(&standard.features), bits(&streaming.features));
+        assert_eq!(bits(&standard.logits), bits(&streaming.logits));
+        assert_eq!(bits(&standard.probs), bits(&streaming.probs));
     }
 
     #[test]
@@ -554,12 +533,9 @@ mod tests {
         let standard = m.forward(&u).expect("standard");
         let streaming = StreamingForward::paper().run(&m, &u).expect("streaming");
         assert_eq!(streaming.t_len, 1);
-        for (a, b) in standard.features.iter().zip(&streaming.features) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        for (a, b) in standard.probs.iter().zip(&streaming.probs) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_eq!(bits(&standard.features), bits(&streaming.features));
+        assert_eq!(bits(&standard.logits), bits(&streaming.logits));
+        assert_eq!(bits(&standard.probs), bits(&streaming.probs));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::workspace::TrainWorkspace;
 use crate::{metrics, CoreError};
 use dfr_data::Dataset;
 use dfr_linalg::Matrix;
-use dfr_reservoir::representation::{Dprr, Representation};
+use dfr_reservoir::representation::Dprr;
 use dfr_reservoir::ReservoirRun;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -332,13 +332,14 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
 }
 
 /// Computes the DPRR feature matrix of a set of series under a model,
-/// using the same per-sample `1/T` scaling as
-/// [`DfrClassifier::forward_from_run`] so ridge-fitted readouts and
-/// SGD-trained readouts see identical features.
+/// through the same feature tail as [`DfrClassifier::forward`]
+/// ([`Dprr::normalized_into`]) so ridge-fitted readouts and SGD-trained
+/// readouts see identical features.
 ///
 /// # Errors
 ///
-/// Propagates reservoir failures (divergence, channel mismatch).
+/// Propagates reservoir failures (divergence, channel mismatch, empty
+/// series).
 pub fn features_for<'a, I>(model: &DfrClassifier, series: I) -> Result<Matrix, CoreError>
 where
     I: IntoIterator<Item = &'a Matrix>,
@@ -361,7 +362,8 @@ where
 ///
 /// # Errors
 ///
-/// Propagates reservoir failures (divergence, channel mismatch).
+/// Propagates reservoir failures (divergence, channel mismatch, empty
+/// series).
 pub fn features_for_into<'a, I>(
     model: &DfrClassifier,
     series: I,
@@ -383,13 +385,7 @@ where
         ReservoirRun::empty,
         |i, row, run| -> Result<(), CoreError> {
             model.reservoir().run_into(series[i], run)?;
-            Dprr.features_into(run.states(), row);
-            // Same per-sample 1/T scaling as the forward pass.
-            let scale = 1.0 / (run.len().max(1) as f64);
-            for f in row.iter_mut() {
-                *f *= scale;
-            }
-            Ok(())
+            Ok(Dprr.normalized_into(run.states(), row)?)
         },
     )
 }

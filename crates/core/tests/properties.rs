@@ -531,7 +531,7 @@ proptest! {
 
     /// End-to-end trained-model identity across SIMD kernels (`DESIGN.md`
     /// §13): the full `train` pipeline produces bitwise-identical models,
-    /// losses and selected β under every available strict kernel. Pinned
+    /// losses and selected β under every available kernel. Pinned
     /// at pool width 1 because the thread-local `with_kernel` override
     /// does not reach products issued from inside pool workers — whole-
     /// process kernel selection at width 4 is covered by the CI
@@ -552,7 +552,7 @@ proptest! {
                 dfr_core::trainer::train(&ds, &options).unwrap()
             })
         });
-        for kernel in available().into_iter().filter(|k| k.is_strict()) {
+        for kernel in available() {
             let got = dfr_pool::with_threads(1, || {
                 with_kernel(kernel.kind(), || {
                     dfr_core::trainer::train(&ds, &options).unwrap()

@@ -107,7 +107,7 @@ pub fn dense_bias_softmax_into(
 /// tiled GEMM microkernel ([`crate::Matrix::matmul_t_into_ws`]) instead of
 /// `n` separate matvecs — the batch amortises the packing of `w` across
 /// every row, and the product dispatches to whichever SIMD microkernel
-/// [`crate::kernels::active`] selects (scalar/SSE2/AVX2/NEON; all strict
+/// [`crate::kernels::active`] selects (scalar/SSE2/AVX2/NEON; all
 /// kernels produce the same bits). Per output element the accumulation is
 /// still a `k`-ascending dot followed by one bias add and the same stable
 /// softmax, so every row is **bitwise identical** to a per-sample

@@ -9,7 +9,7 @@
 //!   every dense product routes through (see `DESIGN.md` §10), with
 //!   [`GemmWorkspace`] owning the reusable packing buffers.
 //! * [`kernels`] — runtime-dispatched SIMD microkernels (AVX2/SSE2/NEON
-//!   with a scalar floor, `DESIGN.md` §13): every strict kernel is
+//!   with a scalar floor, `DESIGN.md` §13): every kernel is
 //!   bitwise identical to scalar, selected once per process and
 //!   overridable via `DFR_KERNEL` / [`kernels::with_kernel`] /
 //!   [`kernels::set_kernel`].

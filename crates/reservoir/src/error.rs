@@ -25,10 +25,10 @@ pub enum ReservoirError {
         step: usize,
     },
     /// The input series has no time steps: there is no trajectory to run
-    /// and the `1/T` feature normalisation is undefined, so both the
-    /// training-side streaming forward and the serving-side feature
-    /// kernel reject 0-row inputs with this typed error instead of
-    /// emitting a bias-only prediction.
+    /// and the `1/T` feature normalisation is undefined, so every forward
+    /// path (training, streaming, serving) rejects 0-row inputs with this
+    /// typed error from [`crate::representation::Dprr::normalize`] instead
+    /// of emitting a bias-only prediction.
     EmptySeries,
 }
 

@@ -17,9 +17,9 @@
 //!   masks (multivariate inputs use an `N_x × C` mask matrix).
 //! * [`nonlinearity`] — pluggable one-input one-output functions `f` with
 //!   analytic derivatives, as required for backpropagation.
-//! * [`representation`] — reservoir representations turning the `T × N_x`
-//!   state history into fixed-length features; [`representation::Dprr`] is
-//!   the dot-product reservoir representation of paper §2.2.
+//! * [`representation`] — the dot-product reservoir representation of
+//!   paper §2.2 ([`representation::Dprr`]), turning the `T × N_x` state
+//!   history into the fixed-length features every readout sees.
 //!
 //! # Example
 //!
@@ -27,15 +27,16 @@
 //! use dfr_linalg::Matrix;
 //! use dfr_reservoir::mask::Mask;
 //! use dfr_reservoir::modular::ModularDfr;
-//! use dfr_reservoir::representation::{Dprr, Representation};
+//! use dfr_reservoir::representation::Dprr;
 //!
 //! # fn main() -> Result<(), dfr_reservoir::ReservoirError> {
 //! let mask = Mask::binary(30, 1, 42);           // N_x = 30, one channel
 //! let dfr = ModularDfr::linear(mask, 0.1, 0.1)?; // A = B = 0.1, f(z) = z
 //! let series = Matrix::filled(50, 1, 1.0);       // T = 50 constant input
 //! let run = dfr.run(&series)?;
-//! let features = Dprr.features(run.states());
-//! assert_eq!(features.len(), 30 * 31);           // N_x (N_x + 1)
+//! let mut features = vec![0.0; Dprr.dim(30)];     // N_x (N_x + 1)
+//! Dprr.normalized_into(run.states(), &mut features)?; // DPRR sums / T
+//! assert_eq!(features.len(), 30 * 31);
 //! # Ok(())
 //! # }
 //! ```

@@ -309,24 +309,65 @@ fn drive_frozen<N: Nonlinearity>(
     let nx = masked.cols();
     let t_len = masked.rows();
     debug_assert_eq!(states.shape(), (t_len, nx));
-    let mut prev_chain = 0.0; // s_{t-1}, carried across rows
     for k in 0..t_len {
-        let j_row = masked.row(k);
         // Split off row k so the delayed row k−1 stays borrowable.
         let (head, tail) = states.as_mut_slice().split_at_mut(k * nx);
-        let row = &mut tail[..nx];
-        let delayed = &head[head.len().saturating_sub(nx)..];
-        for n in 0..nx {
-            // s_{t-Nx} is the same node at the previous input step.
-            let d = if k == 0 { 0.0 } else { delayed[n] };
-            let z = j_row[n] + d;
-            let s = a * nonlinearity.eval(z) + b * prev_chain;
-            if !s.is_finite() || s.abs() > DIVERGENCE_LIMIT {
-                return Err(ReservoirError::Diverged { step: k });
-            }
-            row[n] = s;
-            prev_chain = s;
+        let prev = (k > 0).then(|| &head[head.len() - nx..]);
+        recurrence_step(a, b, nonlinearity, masked.row(k), prev, &mut tail[..nx], k)?;
+    }
+    Ok(())
+}
+
+/// One input step of the modular recurrence (paper Eq. 13): writes
+/// `x(k)` into `row` from the masked drive `j(k)` (`j_row`) and the
+/// previous state `x(k−1)` (`prev`; `None` before the first step, where
+/// the state is all zero).
+///
+/// The node chain carries across steps — the `B`-path predecessor of node
+/// 0 is the last node of `x(k−1)` — so one call per step in ascending `k`
+/// reproduces the flattened recurrence exactly. This is the kernel every
+/// forward pass runs: [`ModularDfr`]'s entry points and
+/// [`run_frozen_into`] loop it over a materialised history, and the
+/// constant-memory streaming pass calls it on two rolling rows (passing
+/// a zeroed `prev` for `k = 0`, which is bitwise the same as `None`).
+///
+/// # Errors
+///
+/// Returns [`ReservoirError::Diverged`] (reporting `step`) if any state
+/// becomes non-finite or exceeds [`DIVERGENCE_LIMIT`]; `row` is then
+/// partially written.
+///
+/// # Panics
+///
+/// Panics if `j_row` or `prev` is shorter than `row`.
+#[inline]
+pub fn recurrence_step<N: Nonlinearity>(
+    a: f64,
+    b: f64,
+    nonlinearity: &N,
+    j_row: &[f64],
+    prev: Option<&[f64]>,
+    row: &mut [f64],
+    step: usize,
+) -> Result<(), ReservoirError> {
+    let nx = row.len();
+    let j_row = &j_row[..nx];
+    let prev = prev.map(|p| &p[..nx]);
+    // s_{t-1}: the last node of the previous step (zero before the first).
+    let mut chain = prev.and_then(|p| p.last().copied()).unwrap_or(0.0);
+    for n in 0..nx {
+        // s_{t-Nx} is the same node at the previous input step.
+        let d = match prev {
+            Some(p) => p[n],
+            None => 0.0,
+        };
+        let z = j_row[n] + d;
+        let s = a * nonlinearity.eval(z) + b * chain;
+        if !s.is_finite() || s.abs() > DIVERGENCE_LIMIT {
+            return Err(ReservoirError::Diverged { step });
         }
+        row[n] = s;
+        chain = s;
     }
     Ok(())
 }

@@ -1,36 +1,18 @@
-//! Reservoir representations: fixed-length features from a state history.
+//! The dot-product reservoir representation (DPRR): fixed-length features
+//! from a state history.
 //!
 //! Classification needs one feature vector per (variable-length) series, so
 //! the `T × N_x` state history is reduced to a fixed-size *reservoir
 //! representation* (paper §2.2). [`Dprr`] is the paper's choice — the
-//! dot-product reservoir representation, the best known trade-off of
-//! accuracy and circuit size. [`LastState`] and [`MeanState`] are simpler
-//! baselines used for ablations.
+//! best known trade-off of accuracy and circuit size — and the only one
+//! this workspace implements: every path that turns a series into readout
+//! features (training forward, ridge feature matrices, the constant-memory
+//! streaming pass, the frozen serving kernel) ends in
+//! [`Dprr::normalized_into`] or, when the sums are accumulated online, in
+//! [`Dprr::accumulate`] + [`Dprr::normalize`].
 
+use crate::ReservoirError;
 use dfr_linalg::Matrix;
-
-/// Maps a `T × N_x` state history to a fixed-length feature vector.
-pub trait Representation: std::fmt::Debug + Send + Sync {
-    /// Feature dimension for a reservoir of `nx` virtual nodes.
-    fn dim(&self, nx: usize) -> usize;
-
-    /// Writes the features of `states` into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.dim(states.cols())`.
-    fn features_into(&self, states: &Matrix, out: &mut [f64]);
-
-    /// Convenience wrapper allocating the output vector.
-    fn features(&self, states: &Matrix) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim(states.cols())];
-        self.features_into(states, &mut out);
-        out
-    }
-
-    /// Short display name for reports.
-    fn name(&self) -> &'static str;
-}
 
 /// The dot-product reservoir representation (paper Eqs. 10–11, 18–19).
 ///
@@ -47,9 +29,9 @@ pub trait Representation: std::fmt::Debug + Send + Sync {
 ///
 /// ```
 /// use dfr_linalg::Matrix;
-/// use dfr_reservoir::representation::{Dprr, Representation};
+/// use dfr_reservoir::representation::Dprr;
 ///
-/// # fn main() -> Result<(), dfr_linalg::LinalgError> {
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let states = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
 /// let r = Dprr.features(&states);
 /// // r[0] = x(0)_0·0 + x(1)_0·x(0)_0 = 3
@@ -57,18 +39,109 @@ pub trait Representation: std::fmt::Debug + Send + Sync {
 /// // bias block: column sums
 /// assert_eq!(r[4], 4.0);
 /// assert_eq!(r[5], 6.0);
+/// // The readout sees the sums scaled by 1/T.
+/// let mut scaled = vec![0.0; Dprr.dim(2)];
+/// Dprr.normalized_into(&states, &mut scaled)?;
+/// assert_eq!(scaled[4], 2.0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Dprr;
 
-impl Representation for Dprr {
-    fn dim(&self, nx: usize) -> usize {
+impl Dprr {
+    /// Feature dimension `N_x(N_x+1)` for a reservoir of `nx` virtual nodes.
+    pub fn dim(&self, nx: usize) -> usize {
         nx * (nx + 1)
     }
 
-    fn features_into(&self, states: &Matrix, out: &mut [f64]) {
+    /// Convenience wrapper around [`Dprr::features_into`] allocating the
+    /// output vector.
+    pub fn features(&self, states: &Matrix) -> Vec<f64> {
+        let mut out = vec![0.0; self.dim(states.cols())];
+        self.features_into(states, &mut out);
+        out
+    }
+
+    /// The features the readout sees: the DPRR sums of `states` scaled by
+    /// `1/T` ([`Dprr::normalize`]). Every batch feature path — the
+    /// training forward pass, the ridge feature matrix and the frozen
+    /// serving kernel — goes through this one function, so they agree
+    /// bitwise.
+    ///
+    /// # Errors
+    ///
+    /// [`ReservoirError::EmptySeries`] for a 0-row history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.dim(states.cols())`.
+    pub fn normalized_into(&self, states: &Matrix, out: &mut [f64]) -> Result<(), ReservoirError> {
+        self.features_into(states, out);
+        Dprr::normalize(out, states.rows())
+    }
+
+    /// Scales raw DPRR sums by `1/T` in place.
+    ///
+    /// The sums of paper Eqs. 18–19 are divided by the series length `T`
+    /// before entering the readout. This is a pure per-sample rescaling —
+    /// absorbed by `W_out` (and by the ridge refit), so the model class is
+    /// unchanged — but it makes the feature scale, and therefore the
+    /// paper's learning rate of 1.0, independent of `T` (which spans 28 to
+    /// 1917 across the evaluation datasets).
+    ///
+    /// # Errors
+    ///
+    /// [`ReservoirError::EmptySeries`] if `t_len == 0`: a 0-row series has
+    /// no trajectory and the `1/T` scaling is undefined, so every forward
+    /// path — training, streaming and serving — rejects it here instead of
+    /// emitting a bias-only prediction.
+    pub fn normalize(features: &mut [f64], t_len: usize) -> Result<(), ReservoirError> {
+        if t_len == 0 {
+            return Err(ReservoirError::EmptySeries);
+        }
+        let scale = 1.0 / (t_len as f64);
+        for f in features {
+            *f *= scale;
+        }
+        Ok(())
+    }
+
+    /// One step of the DPRR accumulation: `products += x(k) ⊗ x(k−1)` and
+    /// `sums += x(k)` on a raw `N_x(N_x+1)` feature buffer (products
+    /// first, then sums). Rows with `x(k)_i == 0` skip the product update
+    /// exactly as [`Dprr::features_into`] does, so a buffer fed one step
+    /// at a time — the constant-memory streaming pass, which passes a
+    /// zeroed `x_prev` for `k = 0` — ends bitwise equal to the batch sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features.len() != N_x(N_x+1)` for `N_x = x_k.len()`.
+    #[inline]
+    pub fn accumulate(features: &mut [f64], x_prev: &[f64], x_k: &[f64]) {
+        let nx = x_k.len();
+        assert_eq!(
+            features.len(),
+            nx * (nx + 1),
+            "DPRR buffer has wrong length"
+        );
+        let (products, sums) = features.split_at_mut(nx * nx);
+        for (s, &xi) in sums.iter_mut().zip(x_k) {
+            *s += xi;
+        }
+        for (i, &xi) in x_k.iter().enumerate() {
+            if xi != 0.0 {
+                rank1(&mut products[i * nx..(i + 1) * nx], x_prev, xi);
+            }
+        }
+    }
+
+    /// Writes the raw DPRR sums of a `T × N_x` state history into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.dim(states.cols())`.
+    pub fn features_into(&self, states: &Matrix, out: &mut [f64]) {
         let nx = states.cols();
         let t_len = states.rows();
         assert_eq!(out.len(), self.dim(nx), "output buffer has wrong length");
@@ -84,10 +157,11 @@ impl Representation for Dprr {
         // contributions — ~4× less accumulator traffic — while each element
         // still receives its contributions one `+=` at a time in strictly
         // ascending `k`, so the result is bitwise identical to the
-        // one-step-at-a-time loop. The bias block (Eq. 11 / 19) is fused
-        // the same way. The pre-PR `xi == 0` row skip is preserved exactly
-        // (adding a `0·x` term is *not* a bitwise no-op for −0.0), with
-        // mixed-zero groups falling back to narrower sweeps.
+        // one-step-at-a-time loop ([`Dprr::accumulate`]). The bias block
+        // (Eq. 11 / 19) is fused the same way. The `xi == 0` row skip is
+        // preserved exactly (adding a `0·x` term is *not* a bitwise no-op
+        // for −0.0), with mixed-zero groups falling back to narrower
+        // sweeps.
         let mut k = 0;
         if t_len > 0 {
             // Step 0 contributes only to the bias block.
@@ -137,78 +211,13 @@ impl Representation for Dprr {
             k += 4;
         }
         while k < t_len {
-            let x_k = &flat[k * nx..(k + 1) * nx];
-            for (s, &xi) in sums.iter_mut().zip(x_k) {
-                *s += xi;
-            }
-            let x_prev = &flat[(k - 1) * nx..k * nx];
-            for (row, &xi) in products.chunks_exact_mut(nx).zip(x_k) {
-                if xi != 0.0 {
-                    rank1(row, x_prev, xi);
-                }
-            }
+            Dprr::accumulate(
+                out,
+                &flat[(k - 1) * nx..k * nx],
+                &flat[k * nx..(k + 1) * nx],
+            );
             k += 1;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "dprr"
-    }
-}
-
-/// The final reservoir state `x(T)` as features (`N_x` values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct LastState;
-
-impl Representation for LastState {
-    fn dim(&self, nx: usize) -> usize {
-        nx
-    }
-
-    fn features_into(&self, states: &Matrix, out: &mut [f64]) {
-        let nx = states.cols();
-        assert_eq!(out.len(), nx, "output buffer has wrong length");
-        if states.rows() == 0 {
-            out.fill(0.0);
-        } else {
-            out.copy_from_slice(states.row(states.rows() - 1));
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "last-state"
-    }
-}
-
-/// The time-averaged reservoir state as features (`N_x` values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct MeanState;
-
-impl Representation for MeanState {
-    fn dim(&self, nx: usize) -> usize {
-        nx
-    }
-
-    fn features_into(&self, states: &Matrix, out: &mut [f64]) {
-        let nx = states.cols();
-        assert_eq!(out.len(), nx, "output buffer has wrong length");
-        out.fill(0.0);
-        let t_len = states.rows();
-        if t_len == 0 {
-            return;
-        }
-        for k in 0..t_len {
-            for (o, &x) in out.iter_mut().zip(states.row(k)) {
-                *o += x;
-            }
-        }
-        for o in out.iter_mut() {
-            *o /= t_len as f64;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "mean-state"
     }
 }
 
@@ -249,25 +258,24 @@ fn rank4(
     }
 }
 
-/// Builds the feature matrix for a batch of state histories (one row per
-/// sample) using any representation.
+/// Builds the raw DPRR feature matrix for a batch of state histories (one
+/// row per sample).
 ///
 /// Samples are independent, so rows are computed in parallel over the
 /// [`dfr_pool`] execution layer — each worker owns a contiguous band of
 /// output rows and every row is produced by the same per-sample kernel,
 /// making the result bit-identical at every thread count.
-pub fn feature_matrix<R: Representation + ?Sized>(rep: &R, runs: &[Matrix]) -> Matrix {
+pub fn feature_matrix(runs: &[Matrix]) -> Matrix {
     if runs.is_empty() {
         return Matrix::zeros(0, 0);
     }
-    let nx = runs[0].cols();
-    let dim = rep.dim(nx);
+    let dim = Dprr.dim(runs[0].cols());
     let mut out = Matrix::zeros(runs.len(), dim);
     if dim == 0 {
         return out;
     }
     dfr_pool::par_chunks_mut(out.as_mut_slice(), dim, |i, row| {
-        rep.features_into(&runs[i], row);
+        Dprr.features_into(&runs[i], row);
     });
     out
 }
@@ -347,34 +355,58 @@ mod tests {
     }
 
     #[test]
-    fn last_state() {
-        let r = LastState.features(&states());
-        assert_eq!(r, vec![-0.5, 3.0]);
-    }
-
-    #[test]
-    fn mean_state() {
-        let r = MeanState.features(&states());
-        assert!((r[0] - (1.0 + 2.0 - 0.5) / 3.0).abs() < 1e-12);
-        assert!((r[1] - (-1.0 + 0.5 + 3.0) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_history() {
         let empty = Matrix::zeros(0, 3);
-        assert_eq!(LastState.features(&empty), vec![0.0; 3]);
-        assert_eq!(MeanState.features(&empty), vec![0.0; 3]);
         assert_eq!(Dprr.features(&empty), vec![0.0; 12]);
+        let mut out = vec![0.0; 12];
+        assert_eq!(
+            Dprr.normalized_into(&empty, &mut out),
+            Err(ReservoirError::EmptySeries)
+        );
+    }
+
+    #[test]
+    fn step_accumulation_matches_batch_bitwise() {
+        // Rows with zeros (and a −0.0) exercise the exact row skip; T runs
+        // across the four-step sweep boundary and its ragged tails.
+        let rows: Vec<[f64; 3]> = vec![
+            [0.3, -0.0, 1.5],
+            [0.0, 2.0, -0.7],
+            [1.1, 0.4, 0.0],
+            [-0.2, 0.9, 0.6],
+            [0.5, 0.0, -1.3],
+            [0.7, -0.8, 0.1],
+            [0.0, 0.0, 0.0],
+            [1.9, 0.2, -0.4],
+            [-1.0, 0.3, 0.8],
+        ];
+        for t in 1..=rows.len() {
+            let flat: Vec<f64> = rows[..t].iter().flatten().copied().collect();
+            let states = Matrix::from_vec(t, 3, flat).unwrap();
+            let mut stepped = vec![0.0; Dprr.dim(3)];
+            let mut prev = [0.0; 3];
+            for k in 0..t {
+                Dprr::accumulate(&mut stepped, &prev, states.row(k));
+                prev.copy_from_slice(states.row(k));
+            }
+            let batch = Dprr.features(&states);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&stepped), bits(&batch), "T={t}");
+            let mut normalized = vec![0.0; Dprr.dim(3)];
+            Dprr.normalized_into(&states, &mut normalized).unwrap();
+            Dprr::normalize(&mut stepped, t).unwrap();
+            assert_eq!(bits(&stepped), bits(&normalized), "T={t}");
+        }
     }
 
     #[test]
     fn feature_matrix_shapes() {
         let runs = vec![states(), states()];
-        let m = feature_matrix(&Dprr, &runs);
+        let m = feature_matrix(&runs);
         assert_eq!(m.shape(), (2, 6));
         assert_eq!(m.row(0), m.row(1));
         let empty: Vec<Matrix> = vec![];
-        assert_eq!(feature_matrix(&Dprr, &empty).shape(), (0, 0));
+        assert_eq!(feature_matrix(&empty).shape(), (0, 0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use dfr_linalg::Matrix;
 use dfr_reservoir::mask::Mask;
 use dfr_reservoir::modular::ModularDfr;
 use dfr_reservoir::nonlinearity::Tanh;
-use dfr_reservoir::representation::{feature_matrix, Dprr, LastState, MeanState, Representation};
+use dfr_reservoir::representation::{feature_matrix, Dprr};
 use proptest::prelude::*;
 
 fn series(t: usize, c: usize) -> impl Strategy<Value = Matrix> {
@@ -78,28 +78,17 @@ proptest! {
         prop_assert!(r.iter().all(|x| x.is_finite()));
     }
 
-    /// The three representations agree on their overlapping content: the
-    /// bias block of the DPRR equals T times the mean state.
+    /// The bias block of the DPRR is the column sum of the state history.
     #[test]
     fn dprr_bias_block_is_state_sum(u in series(13, 2)) {
         let dfr = ModularDfr::linear(Mask::binary(5, 2, 5), 0.2, 0.25).unwrap();
         let run = dfr.run(&u).unwrap();
         let r = Dprr.features(run.states());
-        let mean = MeanState.features(run.states());
         let nx = 5;
-        let t_len = 13.0;
         for n in 0..nx {
-            prop_assert!((r[nx * nx + n] - mean[n] * t_len).abs() < 1e-9);
+            let column_sum: f64 = (0..run.len()).map(|k| run.states()[(k, n)]).sum();
+            prop_assert!((r[nx * nx + n] - column_sum).abs() < 1e-9);
         }
-    }
-
-    /// LastState matches the final row of the history.
-    #[test]
-    fn last_state_is_final_row(u in series(9, 1)) {
-        let dfr = ModularDfr::linear(Mask::binary(4, 1, 6), 0.3, 0.2).unwrap();
-        let run = dfr.run(&u).unwrap();
-        let last = LastState.features(run.states());
-        prop_assert_eq!(last.as_slice(), run.states().row(8));
     }
 
     /// Masks are deterministic in the seed and differ across seeds (with
@@ -158,9 +147,9 @@ proptest! {
                 dfr.run(&scaled).unwrap().states().clone()
             })
             .collect();
-        let serial = dfr_pool::with_threads(1, || feature_matrix(&Dprr, &runs));
+        let serial = dfr_pool::with_threads(1, || feature_matrix(&runs));
         for threads in [2usize, 8] {
-            let parallel = dfr_pool::with_threads(threads, || feature_matrix(&Dprr, &runs));
+            let parallel = dfr_pool::with_threads(threads, || feature_matrix(&runs));
             prop_assert_eq!(&parallel, &serial, "threads={}", threads);
         }
     }

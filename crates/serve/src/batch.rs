@@ -7,7 +7,7 @@ use dfr_linalg::stats::argmax;
 use dfr_linalg::{GemmWorkspace, Matrix};
 use dfr_reservoir::modular::run_frozen_into;
 use dfr_reservoir::nonlinearity::Linear;
-use dfr_reservoir::representation::{Dprr, Representation};
+use dfr_reservoir::representation::Dprr;
 use dfr_reservoir::ReservoirError;
 use std::ops::Range;
 
@@ -385,9 +385,9 @@ impl FrozenModel {
     }
 
     /// The shared per-sample kernel sequence: optional normalization, mask
-    /// product (GEMM), frozen reservoir recurrence, DPRR features with the
-    /// `1/T` scaling of the training-side forward pass. Writes the `N_r`
-    /// features into `out`.
+    /// product (GEMM), frozen reservoir recurrence, and the DPRR feature
+    /// tail every forward path shares ([`Dprr::normalized_into`]). Writes
+    /// the `N_r` features into `out`.
     fn sample_features(
         &self,
         series: &Matrix,
@@ -402,14 +402,6 @@ impl FrozenModel {
                 mask_channels: self.channels(),
                 input_channels: series.cols(),
             });
-        }
-        if series.rows() == 0 {
-            // Same contract as the training-side streaming forward: no
-            // trajectory, undefined 1/T scaling — a typed rejection, not a
-            // silent bias-only prediction. The network framing layer
-            // already refuses to decode a 0-row series, so in-process
-            // callers are the audience here.
-            return Err(ReservoirError::EmptySeries);
         }
         let input = match &self.norm {
             Some((means, stds)) => {
@@ -430,12 +422,10 @@ impl FrozenModel {
             .matmul_t_into_ws(&self.mask, masked, gemm)
             .expect("channel count checked above");
         run_frozen_into(self.a, self.b, &Linear, masked, states)?;
-        Dprr.features_into(states, out);
-        let scale = 1.0 / (states.rows() as f64);
-        for f in out.iter_mut() {
-            *f *= scale;
-        }
-        Ok(())
+        // Rejects a 0-row series with `EmptySeries`, like every other
+        // forward path (the network framing layer already refuses to
+        // decode one, so in-process callers are the audience here).
+        Dprr.normalized_into(states, out)
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::ServeError;
 use dfr_core::DfrClassifier;
 use dfr_linalg::Matrix;
-use dfr_reservoir::representation::{Dprr, Representation};
+use dfr_reservoir::representation::Dprr;
 
 /// Version of the serialized layout. Bumped whenever the byte layout
 /// changes; [`FrozenModel::from_bytes`] rejects other versions.
