@@ -7,8 +7,12 @@
 //! intercept-augmented ridge system
 //!
 //! ```text
-//! S = βI + Σₖ λ^(age) φₖφₖᵀ      C = Σₖ λ^(age) φₖ tₖᵀ      φ = [x, 1]
+//! S = λⁿβI + Σₖ λ^(ageₖ) φₖφₖᵀ      C = Σₖ λ^(ageₖ) φₖ tₖᵀ      φ = [x, 1]
 //! ```
+//!
+//! after `n` absorbs, where `ageₖ` counts the absorbs since sample `k`.
+//! Each absorb decays the whole system, the `βI` prior included, so at a
+//! forgetting factor `λ < 1` the regulariser fades geometrically.
 //!
 //! together with a Cholesky factor of `S` kept in lockstep via **rank-1
 //! up/downdates** ([`Cholesky::rank1_update`] / [`Cholesky::rank1_downdate`],

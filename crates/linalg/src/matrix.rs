@@ -222,13 +222,19 @@ impl Matrix {
 
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
+        let mut t = Matrix::zeros(0, 0);
+        self.transpose_into(&mut t);
+        t
+    }
+
+    /// [`Matrix::transpose`] into `out`, reusing its allocation.
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
+                out[(j, i)] = self[(i, j)];
             }
         }
-        t
     }
 
     /// Matrix-matrix product `self * rhs`.
