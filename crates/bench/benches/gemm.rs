@@ -29,16 +29,16 @@ fn bench_products(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("gemm");
     group.bench_function("matmul_t_100x931x10", |b| {
-        b.iter(|| x.matmul_t_into_ws(&w, &mut out, &mut ws).expect("shapes"))
+        b.iter(|| x.matmul_t_into(&w, &mut out, &mut ws).expect("shapes"))
     });
     group.bench_function("t_matmul_931x100x10", |b| {
-        b.iter(|| x.t_matmul_into_ws(&y, &mut out, &mut ws).expect("shapes"))
+        b.iter(|| x.t_matmul_into(&y, &mut out, &mut ws).expect("shapes"))
     });
     group.bench_function("gram_100x931", |b| {
-        b.iter(|| x.gram_into_ws(&mut out, &mut ws))
+        b.iter(|| x.gram_into(&mut out, &mut ws))
     });
     group.bench_function("gram_t_931x100", |b| {
-        b.iter(|| x.gram_t_into_ws(&mut out, &mut ws))
+        b.iter(|| x.gram_t_into(&mut out, &mut ws))
     });
     group.finish();
 }

@@ -4,7 +4,8 @@
 //! one SGD step (buffer-reusing forward pass + backward pass + parameter
 //! update) performs **zero** heap allocations — the contract behind the
 //! workspace-buffer convention of `DESIGN.md` §9. The same is pinned for
-//! the streaming (constant-memory) step and for the `RidgePlan` β-sweep.
+//! the streaming (constant-memory) step, the reservoir pass and the
+//! `RidgePlan` β-sweep.
 //!
 //! Gated behind the `count-allocs` feature so normal test runs keep the
 //! system allocator untouched:
@@ -28,6 +29,7 @@ use dfr_core::DfrClassifier;
 use dfr_linalg::ridge::RidgePlan;
 use dfr_linalg::solver::{SolverKind, SolverPolicy};
 use dfr_linalg::{GemmWorkspace, Matrix};
+use dfr_reservoir::ReservoirRun;
 use dfr_serve::{FrozenModel, ServeSession};
 
 /// Forwards to the system allocator, counting every allocation made by a
@@ -190,16 +192,12 @@ fn packed_matmul_is_allocation_free_after_warmup() {
         .expect("sized");
         let mut ws = GemmWorkspace::new();
         let mut out = Matrix::zeros(0, 0);
-        let mut all = |ws: &mut GemmWorkspace, out: &mut Matrix| {
-            a.matmul_into_ws(&b, out, ws).expect("matmul");
-            a.t_matmul_into_ws(&b, out, ws).expect("t_matmul");
-            a.matmul_t_into_ws(&b, out, ws).expect("matmul_t");
-            a.gram_into_ws(out, ws);
-            a.gram_t_into_ws(out, ws);
-            // The plain `_into` forms pack into the thread-local fallback
-            // workspace — equally allocation-free once it is warm.
-            a.matmul_into(&b, out).expect("matmul tl");
-            a.gram_t_into(out);
+        let all = |ws: &mut GemmWorkspace, out: &mut Matrix| {
+            a.matmul_into(&b, out, ws).expect("matmul");
+            a.t_matmul_into(&b, out, ws).expect("t_matmul");
+            a.matmul_t_into(&b, out, ws).expect("matmul_t");
+            a.gram_into(out, ws);
+            a.gram_t_into(out, ws);
         };
         all(&mut ws, &mut out); // warm-up: pack buffers reach high water
         let (allocs, ()) = count_allocs(|| {
@@ -210,6 +208,42 @@ fn packed_matmul_is_allocation_free_after_warmup() {
         assert_eq!(
             allocs, 0,
             "post-warm-up packed products must not allocate ({allocs} allocations in 10 rounds)"
+        );
+    });
+}
+
+#[test]
+fn reservoir_run_into_is_allocation_free_after_warmup() {
+    // The mask product packs into the run's own workspace, so one reused
+    // `ReservoirRun` keeps the whole reservoir pass allocation-free.
+    dfr_pool::with_threads(1, || {
+        let (model, _, _) = model_and_series(24, 10);
+        let series: Vec<Matrix> = (0..16)
+            .map(|i| {
+                let t = 6 + (i * 17) % 70;
+                Matrix::from_vec(
+                    t,
+                    3,
+                    (0..t * 3).map(|k| ((k + i) as f64 * 0.17).cos()).collect(),
+                )
+                .expect("sized")
+            })
+            .collect();
+        let mut run = ReservoirRun::empty();
+        let pass = |run: &mut ReservoirRun| {
+            for s in &series {
+                model.reservoir().run_into(s, run).expect("run");
+            }
+        };
+        pass(&mut run); // warm-up: buffers reach the longest series
+        let (allocs, ()) = count_allocs(|| {
+            for _ in 0..10 {
+                pass(&mut run);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "post-warm-up ModularDfr::run_into must not allocate ({allocs} allocations in 10 passes)"
         );
     });
 }

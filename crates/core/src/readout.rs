@@ -245,7 +245,7 @@ fn batched_logits(
     logits: &mut Matrix,
     gemm: &mut GemmWorkspace,
 ) -> Result<(), CoreError> {
-    features.matmul_t_into_ws(w_out, logits, gemm)?;
+    features.matmul_t_into(w_out, logits, gemm)?;
     for i in 0..logits.rows() {
         for (l, b) in logits.row_mut(i).iter_mut().zip(bias) {
             *l += b;

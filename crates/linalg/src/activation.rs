@@ -104,7 +104,7 @@ pub fn dense_bias_softmax_into(
 /// in `logits` (both resized to `n × w.rows()`, allocations reused).
 ///
 /// The dense half runs as **one** `x · wᵀ` product through the register-
-/// tiled GEMM microkernel ([`crate::Matrix::matmul_t_into_ws`]) instead of
+/// tiled GEMM microkernel ([`crate::Matrix::matmul_t_into`]) instead of
 /// `n` separate matvecs — the batch amortises the packing of `w` across
 /// every row, and the product dispatches to whichever SIMD microkernel
 /// [`crate::kernels::active`] selects (scalar/SSE2/AVX2/NEON; all
@@ -133,7 +133,7 @@ pub fn dense_bias_softmax_rows_into(
             rhs: (bias.len(), 1),
         });
     }
-    x.matmul_t_into_ws(w, logits, ws)?;
+    x.matmul_t_into(w, logits, ws)?;
     probs.resize(x.rows(), w.rows());
     for i in 0..logits.rows() {
         let row = logits.row_mut(i);

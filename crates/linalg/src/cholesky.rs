@@ -134,7 +134,7 @@ impl Cholesky {
     /// solver refactors with.
     ///
     /// The factorisation is blocked right-looking: columns are factored
-    /// [`NB`] at a time (left-looking within the panel) and the trailing
+    /// `NB` (32) at a time (left-looking within the panel) and the trailing
     /// submatrix is updated through the subtractive GEMM microkernel of
     /// [`crate::gemm`]. Blocking only regroups *when* each
     /// `l[i][k]·l[j][k]` term is subtracted — per element every term is

@@ -50,8 +50,7 @@
 //! drivers here take the selected [`Kernel`] as a parameter, so one
 //! resolution at product entry covers the whole parallel fan-out.
 
-use crate::kernels::{Kernel, KernelKind};
-use std::cell::RefCell;
+use crate::kernels::Kernel;
 
 /// Rows per A panel / register-tile height.
 pub const MR: usize = 4;
@@ -69,12 +68,12 @@ const _: () = assert!(K_BLOCK % NR == 0);
 
 /// Reusable panel-packing buffers for the microkernel family.
 ///
-/// Owning one and calling the `_into_ws` product forms
-/// ([`crate::Matrix::matmul_into_ws`] and friends) keeps packing
-/// allocation-free after the buffers reach their workload high-water
-/// mark — the workspace convention of `DESIGN.md` §9. The plain `_into`
-/// forms fall back to a thread-local workspace with the same reuse
-/// behaviour per thread.
+/// The only home for packing panels: every `_into` product form
+/// ([`crate::Matrix::matmul_into`] and friends) takes one, and keeps
+/// packing allocation-free once the buffers reach their workload
+/// high-water mark — the workspace convention of `DESIGN.md` §9. Packing
+/// overwrites every lane it later reads, so one workspace may be reused
+/// across shapes and kernels.
 #[derive(Debug, Clone, Default)]
 pub struct GemmWorkspace {
     pub(crate) a_pack: Vec<f64>,
@@ -95,35 +94,6 @@ impl PartialEq for GemmWorkspace {
     fn eq(&self, _other: &Self) -> bool {
         true
     }
-}
-
-thread_local! {
-    /// Per-thread fallback workspaces used by the plain `_into` product
-    /// forms, so existing call sites stay allocation-free after a
-    /// per-thread warm-up without threading a workspace through. Keyed by
-    /// the kernel that packed them: every current kernel shares the
-    /// `MR`/`NR` panel layout, but the key keeps a mid-process
-    /// `DFR_KERNEL` / `with_kernel` switch from ever reusing panels
-    /// packed under a kernel with a different layout if one is added —
-    /// and gives differential tests per-kernel warm-up isolation today.
-    static FALLBACK: RefCell<Vec<(KernelKind, GemmWorkspace)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` against the thread-local fallback workspace for `kind` (or a
-/// fresh one in the re-entrant case, which no current kernel triggers).
-pub(crate) fn with_fallback_ws<R>(kind: KernelKind, f: impl FnOnce(&mut GemmWorkspace) -> R) -> R {
-    FALLBACK.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut slots) => {
-            if let Some(i) = slots.iter().position(|(k, _)| *k == kind) {
-                f(&mut slots[i].1)
-            } else {
-                slots.push((kind, GemmWorkspace::new()));
-                let last = slots.last_mut().expect("just pushed");
-                f(&mut last.1)
-            }
-        }
-        Err(_) => f(&mut GemmWorkspace::new()),
-    })
 }
 
 /// Packs an `m × k` left operand into [`MR`]-row panels:
@@ -316,21 +286,5 @@ mod tests {
         let b = GemmWorkspace::new();
         pack_a(&mut a.a_pack, 3, 3, |_, _| 1.0);
         assert_eq!(a, b, "scratch contents must not affect equality");
-    }
-
-    #[test]
-    fn fallback_workspaces_are_isolated_per_kernel() {
-        with_fallback_ws(KernelKind::Scalar, |ws| {
-            pack_a(&mut ws.a_pack, 8, 4, |i, k| (i + k) as f64);
-            assert_eq!(ws.a_pack.len(), 2 * 4 * MR);
-        });
-        // A different kernel kind gets its own (empty) buffers, never the
-        // panels packed under another kernel's layout.
-        with_fallback_ws(KernelKind::Avx2, |ws| {
-            assert!(ws.a_pack.is_empty(), "no cross-kernel panel reuse");
-        });
-        with_fallback_ws(KernelKind::Scalar, |ws| {
-            assert_eq!(ws.a_pack.len(), 2 * 4 * MR, "same kernel reuses");
-        });
     }
 }

@@ -6,8 +6,10 @@
 //! * [`Matrix`] — a row-major dense matrix of `f64` with the usual
 //!   products ([`Matrix::matmul`], [`Matrix::matvec`], transposes, …).
 //! * [`gemm`] — the register-tiled, panel-packed GEMM microkernel family
-//!   every dense product routes through (see `DESIGN.md` §10), with
-//!   [`GemmWorkspace`] owning the reusable packing buffers.
+//!   every dense product routes through (see `DESIGN.md` §10). Each
+//!   product has an allocating form and an `_into(.., out, ws)` form;
+//!   the caller-owned [`GemmWorkspace`] is the one home of the reusable
+//!   packing buffers.
 //! * [`kernels`] — runtime-dispatched SIMD microkernels (AVX2/SSE2/NEON
 //!   with a scalar floor, `DESIGN.md` §13): every kernel is
 //!   bitwise identical to scalar, selected once per process and

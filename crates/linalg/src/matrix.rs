@@ -119,15 +119,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a single-row matrix from a slice.
-    pub fn row_from_slice(v: &[f64]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: v.len(),
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -189,18 +180,6 @@ impl Matrix {
         &mut self.data[i * cols..(i + 1) * cols]
     }
 
-    /// Copies column `j` into a new `Vec`.
-    ///
-    /// Allocates on every call; hot loops should iterate [`Matrix::col_iter`]
-    /// instead (or reuse a scratch buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        self.col_iter(j).collect()
-    }
-
     /// Iterates column `j` top to bottom without allocating (a strided walk
     /// of the row-major storage).
     ///
@@ -254,32 +233,19 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
         let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out)?;
+        self.matmul_into(rhs, &mut out, &mut GemmWorkspace::new())?;
         Ok(out)
     }
 
     /// [`Matrix::matmul`] writing into a caller-owned output matrix, which
     /// is resized to `self.rows() x rhs.cols()` (reusing its allocation) and
-    /// overwritten. Packs into a thread-local workspace; see
-    /// [`Matrix::matmul_into_ws`] for caller-owned packing buffers.
+    /// overwritten, packing into a caller-owned [`GemmWorkspace`] — the
+    /// allocation-free form once both reach their high-water mark.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| {
-            self.matmul_into_ws(rhs, out, ws)
-        })
-    }
-
-    /// [`Matrix::matmul_into`] packing into a caller-owned
-    /// [`GemmWorkspace`] — the fully allocation-free form once the
-    /// workspace buffers reach their high-water mark.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul_into_ws(
+    pub fn matmul_into(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
@@ -316,29 +282,18 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
         let mut out = Matrix::zeros(0, 0);
-        self.t_matmul_into(rhs, &mut out)?;
+        self.t_matmul_into(rhs, &mut out, &mut GemmWorkspace::new())?;
         Ok(out)
     }
 
     /// [`Matrix::t_matmul`] writing into a caller-owned output matrix
-    /// (resized to `self.cols() x rhs.cols()`, allocation reused).
+    /// (resized to `self.cols() x rhs.cols()`, allocation reused), packing
+    /// into a caller-owned [`GemmWorkspace`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
-    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| {
-            self.t_matmul_into_ws(rhs, out, ws)
-        })
-    }
-
-    /// [`Matrix::t_matmul_into`] packing into a caller-owned
-    /// [`GemmWorkspace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.rows() != rhs.rows()`.
-    pub fn t_matmul_into_ws(
+    pub fn t_matmul_into(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
@@ -376,29 +331,18 @@ impl Matrix {
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
         let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(rhs, &mut out)?;
+        self.matmul_t_into(rhs, &mut out, &mut GemmWorkspace::new())?;
         Ok(out)
     }
 
     /// [`Matrix::matmul_t`] writing into a caller-owned output matrix
-    /// (resized to `self.rows() x rhs.rows()`, allocation reused).
+    /// (resized to `self.rows() x rhs.rows()`, allocation reused), packing
+    /// into a caller-owned [`GemmWorkspace`].
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| {
-            self.matmul_t_into_ws(rhs, out, ws)
-        })
-    }
-
-    /// [`Matrix::matmul_t_into`] packing into a caller-owned
-    /// [`GemmWorkspace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != rhs.cols()`.
-    pub fn matmul_t_into_ws(
+    pub fn matmul_t_into(
         &self,
         rhs: &Matrix,
         out: &mut Matrix,
@@ -436,19 +380,15 @@ impl Matrix {
     /// are bitwise equal to `self.matmul_t(self)` at every thread count.
     pub fn gram(&self) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.gram_into(&mut out);
+        self.gram_into(&mut out, &mut GemmWorkspace::new());
         out
     }
 
     /// [`Matrix::gram`] writing into a caller-owned output matrix (resized
-    /// to `n x n`, allocation reused). Same triangular banding, bitwise
-    /// identical at every thread count.
-    pub fn gram_into(&self, out: &mut Matrix) {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| self.gram_into_ws(out, ws));
-    }
-
-    /// [`Matrix::gram_into`] packing into a caller-owned [`GemmWorkspace`].
-    pub fn gram_into_ws(&self, out: &mut Matrix, ws: &mut GemmWorkspace) {
+    /// to `n x n`, allocation reused), packing into a caller-owned
+    /// [`GemmWorkspace`]. Same triangular banding, bitwise identical at
+    /// every thread count.
+    pub fn gram_into(&self, out: &mut Matrix, ws: &mut GemmWorkspace) {
         let (n, k) = (self.rows, self.cols);
         out.resize(n, n);
         if n == 0 {
@@ -471,19 +411,14 @@ impl Matrix {
     /// `self.t_matmul(self)` at every thread count.
     pub fn gram_t(&self) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.gram_t_into(&mut out);
+        self.gram_t_into(&mut out, &mut GemmWorkspace::new());
         out
     }
 
     /// [`Matrix::gram_t`] writing into a caller-owned output matrix (resized
-    /// to `p x p`, allocation reused).
-    pub fn gram_t_into(&self, out: &mut Matrix) {
-        gemm::with_fallback_ws(kernels::active().kind(), |ws| self.gram_t_into_ws(out, ws));
-    }
-
-    /// [`Matrix::gram_t_into`] packing into a caller-owned
+    /// to `p x p`, allocation reused), packing into a caller-owned
     /// [`GemmWorkspace`].
-    pub fn gram_t_into_ws(&self, out: &mut Matrix, ws: &mut GemmWorkspace) {
+    pub fn gram_t_into(&self, out: &mut Matrix, ws: &mut GemmWorkspace) {
         let (p, k) = (self.cols, self.rows);
         out.resize(p, p);
         if p == 0 {
@@ -1002,7 +937,6 @@ mod tests {
         let m = sample();
         assert_eq!(m[(1, 2)], 6.0);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
     }
 
     #[test]
@@ -1101,10 +1035,11 @@ mod tests {
     }
 
     #[test]
-    fn col_iter_matches_col() {
+    fn col_iter_walks_columns() {
         let m = sample();
-        for j in 0..3 {
-            assert_eq!(m.col_iter(j).collect::<Vec<_>>(), m.col(j));
+        let cols = [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]];
+        for (j, want) in cols.iter().enumerate() {
+            assert_eq!(m.col_iter(j).collect::<Vec<_>>(), want);
         }
         let empty = Matrix::zeros(0, 2);
         assert_eq!(empty.col_iter(1).count(), 0);
@@ -1167,16 +1102,17 @@ mod tests {
     fn into_forms_match_allocating_forms() {
         let a = sample(); // 2x3
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]).unwrap(); // 3x2
+        let mut ws = GemmWorkspace::new(); // shared: stale panels never leak
         let mut out = Matrix::filled(7, 7, 9.0); // stale shape + contents
-        a.matmul_into(&b, &mut out).unwrap();
+        a.matmul_into(&b, &mut out, &mut ws).unwrap();
         assert_eq!(out, a.matmul(&b).unwrap());
-        a.t_matmul_into(&a, &mut out).unwrap();
+        a.t_matmul_into(&a, &mut out, &mut ws).unwrap();
         assert_eq!(out, a.t_matmul(&a).unwrap());
-        a.matmul_t_into(&a, &mut out).unwrap();
+        a.matmul_t_into(&a, &mut out, &mut ws).unwrap();
         assert_eq!(out, a.matmul_t(&a).unwrap());
-        a.gram_into(&mut out);
+        a.gram_into(&mut out, &mut ws);
         assert_eq!(out, a.gram());
-        a.gram_t_into(&mut out);
+        a.gram_t_into(&mut out, &mut ws);
         assert_eq!(out, a.gram_t());
 
         let mut v2 = vec![1.0; 2];

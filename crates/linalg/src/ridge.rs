@@ -231,11 +231,11 @@ impl<'a> RidgePlan<'a> {
         let s = scratch.get();
         if use_primal {
             // (XᵀX + βI) W = Xᵀ Y — the microkernel Gram builds XᵀX.
-            x.gram_t_into_ws(&mut s.gram, &mut s.gemm);
-            x.t_matmul_into_ws(y, &mut s.rhs, &mut s.gemm)?;
+            x.gram_t_into(&mut s.gram, &mut s.gemm);
+            x.t_matmul_into(y, &mut s.rhs, &mut s.gemm)?;
         } else {
             // W = Xᵀ (XXᵀ + βI)⁻¹ Y — the microkernel Gram builds XXᵀ.
-            x.gram_into_ws(&mut s.gram, &mut s.gemm);
+            x.gram_into(&mut s.gram, &mut s.gemm);
             s.rhs.resize(0, 0);
         }
         Ok(RidgePlan {
@@ -325,7 +325,7 @@ impl<'a> RidgePlan<'a> {
             solve_policy(policy, &mut report, sys, rhs, w, chol, qr, svd, cond)
         } else {
             solve_policy(policy, &mut report, sys, y, alpha, chol, qr, svd, cond)
-                .and_then(|()| x.t_matmul_into_ws(alpha, w, gemm))
+                .and_then(|()| x.t_matmul_into(alpha, w, gemm))
         };
         if let Err(e) = &result {
             report.error = Some(e.clone());

@@ -261,7 +261,7 @@ impl Svd {
             gemm,
             ..
         } = self;
-        u.t_matmul_into_ws(b, work, gemm)?;
+        u.t_matmul_into(b, work, gemm)?;
         for (j, &s) in sigma.iter().enumerate() {
             if s > tol {
                 let inv = 1.0 / s;
@@ -274,7 +274,7 @@ impl Svd {
                 }
             }
         }
-        v.matmul_into_ws(work, out, gemm)
+        v.matmul_into(work, out, gemm)
     }
 }
 

@@ -77,9 +77,9 @@ fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
 /// the MR×NR tile (`1..=2·MR+1` × `1..=2·NR+1`) crossed with `k` around
 /// the packing block (`1, K_BLOCK−1, K_BLOCK, K_BLOCK+1`), all five
 /// product kernels, checked **bitwise** against the naive `i-k-j`
-/// reference through both the thread-local and the caller-owned workspace
-/// paths (one workspace recycled across every shape, proving stale
-/// packing state never leaks).
+/// reference through both the allocating and the `_into` forms (one
+/// workspace recycled across every shape, proving stale packing state
+/// never leaks).
 #[test]
 fn packed_products_match_naive_reference_on_ragged_edges() {
     let mut ws = GemmWorkspace::new();
@@ -91,16 +91,16 @@ fn packed_products_match_naive_reference_on_ragged_edges() {
                 let b = filled(k, n, 1.7);
                 let want = naive_matmul(&a, &b);
                 assert_bits_eq(&a.matmul(&b).unwrap(), &want, "matmul");
-                a.matmul_into_ws(&b, &mut out, &mut ws).unwrap();
-                assert_bits_eq(&out, &want, "matmul_into_ws");
+                a.matmul_into(&b, &mut out, &mut ws).unwrap();
+                assert_bits_eq(&out, &want, "matmul_into");
 
                 let at = a.transpose();
-                at.t_matmul_into_ws(&b, &mut out, &mut ws).unwrap();
-                assert_bits_eq(&out, &want, "t_matmul_into_ws");
+                at.t_matmul_into(&b, &mut out, &mut ws).unwrap();
+                assert_bits_eq(&out, &want, "t_matmul_into");
 
                 let bt = b.transpose();
-                a.matmul_t_into_ws(&bt, &mut out, &mut ws).unwrap();
-                assert_bits_eq(&out, &want, "matmul_t_into_ws");
+                a.matmul_t_into(&bt, &mut out, &mut ws).unwrap();
+                assert_bits_eq(&out, &want, "matmul_t_into");
 
                 // Gram kernels: square symmetric references. The naive
                 // reference computes only the lower triangle (dot per
@@ -108,12 +108,12 @@ fn packed_products_match_naive_reference_on_ragged_edges() {
                 // and mirrors — exactly the documented contract.
                 let x = filled(m, k, 2.9);
                 let want_gram = naive_matmul(&x, &x.transpose());
-                x.gram_into_ws(&mut out, &mut ws);
-                assert_bits_eq(&out, &want_gram, "gram_into_ws");
+                x.gram_into(&mut out, &mut ws);
+                assert_bits_eq(&out, &want_gram, "gram_into");
 
                 let want_gram_t = naive_matmul(&x.transpose(), &x);
-                x.gram_t_into_ws(&mut out, &mut ws);
-                assert_bits_eq(&out, &want_gram_t, "gram_t_into_ws");
+                x.gram_t_into(&mut out, &mut ws);
+                assert_bits_eq(&out, &want_gram_t, "gram_t_into");
             }
         }
     }
@@ -124,13 +124,14 @@ fn packed_products_match_naive_reference_on_ragged_edges() {
 /// pinned against the naive `i-k-j` reference above) over output dims
 /// `1..=9 × 1..=17` crossed with `k ∈ {1, 63, 64, 65}` — small enough to
 /// exercise every ragged-tile mask, with `k` straddling the `K_BLOCK`
-/// boundary. One shared workspace per kernel is recycled across every
-/// shape, so stale panels from another kernel's run can never leak
-/// (the keyed thread-local fallback is exercised by the `_into` forms).
+/// boundary. One workspace is recycled across every kernel and shape, so
+/// stale panels packed by another kernel or shape are checked to never
+/// leak.
 #[test]
 fn products_bit_identical_across_all_kernels() {
     let kernels = available();
     assert!(!kernels.is_empty());
+    let mut ws = GemmWorkspace::new();
     let mut out = Matrix::zeros(0, 0);
     for m in 1..=9usize {
         for n in 1..=17usize {
@@ -150,15 +151,15 @@ fn products_bit_identical_across_all_kernels() {
                 for kernel in &kernels {
                     with_kernel(kernel.kind(), || {
                         let name = kernel.name();
-                        a.matmul_into(&b, &mut out).unwrap();
+                        a.matmul_into(&b, &mut out, &mut ws).unwrap();
                         assert_bits_eq(&out, &reference.0, &format!("{name} matmul {m}x{k}x{n}"));
-                        a.transpose().t_matmul_into(&b, &mut out).unwrap();
+                        a.transpose().t_matmul_into(&b, &mut out, &mut ws).unwrap();
                         assert_bits_eq(&out, &reference.1, &format!("{name} t_matmul {m}x{k}x{n}"));
-                        a.matmul_t_into(&b.transpose(), &mut out).unwrap();
+                        a.matmul_t_into(&b.transpose(), &mut out, &mut ws).unwrap();
                         assert_bits_eq(&out, &reference.2, &format!("{name} matmul_t {m}x{k}x{n}"));
-                        x.gram_into(&mut out);
+                        x.gram_into(&mut out, &mut ws);
                         assert_bits_eq(&out, &reference.3, &format!("{name} gram {m}x{k}"));
-                        x.gram_t_into(&mut out);
+                        x.gram_t_into(&mut out, &mut ws);
                         assert_bits_eq(&out, &reference.4, &format!("{name} gram_t {m}x{k}"));
                     });
                 }

@@ -17,7 +17,7 @@
 use crate::mask::Mask;
 use crate::nonlinearity::{Linear, Nonlinearity};
 use crate::ReservoirError;
-use dfr_linalg::Matrix;
+use dfr_linalg::{GemmWorkspace, Matrix};
 
 /// States beyond this magnitude are treated as divergence.
 ///
@@ -189,9 +189,10 @@ impl<N: Nonlinearity> ModularDfr<N> {
     }
 
     /// [`ModularDfr::run`] writing into a caller-owned [`ReservoirRun`],
-    /// reusing its masked-drive and state storage — forward passes recycle
-    /// the same buffers across samples and epochs (allocation-free once the
-    /// buffers reach the longest series in the workload).
+    /// reusing its masked-drive, state and GEMM packing storage — forward
+    /// passes recycle the same buffers across samples and epochs
+    /// (allocation-free once the buffers reach the longest series in the
+    /// workload).
     ///
     /// On error the run's contents are unspecified; reuse it only after a
     /// later `run_into` succeeds.
@@ -206,7 +207,7 @@ impl<N: Nonlinearity> ModularDfr<N> {
                 input_channels: series.cols(),
             });
         }
-        self.mask.apply_into(series, &mut run.masked);
+        self.mask.apply_into(series, &mut run.masked, &mut run.gemm);
         run.states.resize(run.masked.rows(), self.nodes());
         self.drive(&run.masked, &mut run.states)
     }
@@ -230,7 +231,11 @@ impl<N: Nonlinearity> ModularDfr<N> {
         }
         let mut states = Matrix::zeros(masked.rows(), nx);
         self.drive(&masked, &mut states)?;
-        Ok(ReservoirRun { masked, states })
+        Ok(ReservoirRun {
+            masked,
+            states,
+            gemm: GemmWorkspace::new(),
+        })
     }
 
     /// [`ModularDfr::run_masked`] borrowing the masked drive and writing
@@ -377,6 +382,9 @@ pub fn recurrence_step<N: Nonlinearity>(
 pub struct ReservoirRun {
     masked: Matrix,
     states: Matrix,
+    /// GEMM packing panels for the mask product; carries no identity, so
+    /// runs still compare on their drive and states alone.
+    gemm: GemmWorkspace,
 }
 
 impl Default for ReservoirRun {
@@ -392,6 +400,7 @@ impl ReservoirRun {
         ReservoirRun {
             masked: Matrix::zeros(0, 0),
             states: Matrix::zeros(0, 0),
+            gemm: GemmWorkspace::new(),
         }
     }
 

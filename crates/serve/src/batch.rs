@@ -419,7 +419,7 @@ impl FrozenModel {
             None => series,
         };
         input
-            .matmul_t_into_ws(&self.mask, masked, gemm)
+            .matmul_t_into(&self.mask, masked, gemm)
             .expect("channel count checked above");
         run_frozen_into(self.a, self.b, &Linear, masked, states)?;
         // Rejects a 0-row series with `EmptySeries`, like every other

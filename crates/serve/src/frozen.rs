@@ -19,8 +19,8 @@ const FLAG_NORM: u32 = 1;
 /// A trained DFR classifier frozen for serving: input mask, reservoir
 /// gains `(A, B)`, readout weights and bias, and (optionally) the
 /// per-channel standardization constants fitted on the training split —
-/// everything [`predict_batch_into`](FrozenModel::predict_batch_into)
-/// needs, and nothing training-only.
+/// everything [`predict_batch`](FrozenModel::predict_batch) needs, and
+/// nothing training-only.
 ///
 /// The model serializes to one contiguous, versioned byte layout
 /// ([`FrozenModel::to_bytes`], documented in `DESIGN.md` §11) whose

@@ -123,7 +123,8 @@ pub struct ServerStats {
     shutdown_rejected: AtomicU64,
 }
 
-/// A point-in-time copy of [`ServerStats`].
+/// A point-in-time copy of the server's counters, taken by
+/// [`Server::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Connections accepted.
