@@ -9,7 +9,8 @@
 //! column preserves the pre-PR implementation verbatim inside this binary
 //! — the index-addressed reservoir recurrence, a freshly allocated state
 //! matrix and forward cache per sample, the allocating backward pass
-//! (fresh `bpv`/`ds`/`w_grad`/`dr` per call, per-sample `masked.clone()`),
+//! (fresh `bpv`/`ds`/`dr` per call, per-sample `masked.clone()`; its
+//! readout gradient is the factored `Gradients` form `Sgd::step` takes),
 //! a gradient clone before the SGD step (the old optimizer cloned
 //! internally), a readout sweep running one full ridge fit per β
 //! candidate, and — since the GEMM PR — the **scalar dense kernels** those
@@ -348,35 +349,18 @@ fn legacy_backprop(
     let loss = cross_entropy(probs, target);
     let nx = model.nodes();
     let t_len = states.rows();
-    let nr = model.feature_dim();
     let g = softmax_cross_entropy_grad(probs, target);
-    let bias_grad = g.clone();
-    let mut w_grad = Matrix::zeros(model.num_classes(), nr);
-    for (c, &gc) in g.iter().enumerate() {
-        if gc == 0.0 {
-            continue;
-        }
-        let row = w_grad.row_mut(c);
-        for (w, &r) in row.iter_mut().zip(features) {
-            *w = gc * r;
-        }
-    }
+    // The output layer's gradients take the one form `Sgd::step` accepts:
+    // ∂L/∂b = g and the rank-1 ∂L/∂W = g·rᵀ as its factors.
+    let mut grads = Gradients::default();
+    grads.set_output_layer(&g, features);
     let mut dr = legacy_t_matvec(model.w_out(), &g);
     let scale = 1.0 / (t_len.max(1) as f64);
     for d in &mut dr {
         *d *= scale;
     }
     if t_len == 0 {
-        return Ok((
-            loss,
-            Gradients {
-                a: 0.0,
-                b: 0.0,
-                w_out: w_grad,
-                bias: bias_grad,
-                mask: None,
-            },
-        ));
+        return Ok((loss, grads));
     }
     let dr_products = Matrix::from_vec(nx, nx, dr[..nx * nx].to_vec())?;
     let dr_sums = &dr[nx * nx..];
@@ -434,16 +418,9 @@ fn legacy_backprop(
             b_grad += chain_prev * d;
         }
     }
-    Ok((
-        loss,
-        Gradients {
-            a: a_grad,
-            b: b_grad,
-            w_out: w_grad,
-            bias: bias_grad,
-            mask: None,
-        },
-    ))
+    grads.a = a_grad;
+    grads.b = b_grad;
+    Ok((loss, grads))
 }
 
 /// The pre-PR training loop, preserved verbatim for measurement.

@@ -99,7 +99,17 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 fn model_and_series(nx: usize, t: usize) -> (DfrClassifier, Matrix, Vec<f64>) {
-    let mut model = DfrClassifier::paper_default(nx, 3, 4, 0).expect("model");
+    model_and_series_with_classes(nx, t, 4)
+}
+
+/// A model over `classes ≥ 3` classes with two non-zero readout rows, a
+/// 3-channel series and a one-hot target on class 2.
+fn model_and_series_with_classes(
+    nx: usize,
+    t: usize,
+    classes: usize,
+) -> (DfrClassifier, Matrix, Vec<f64>) {
+    let mut model = DfrClassifier::paper_default(nx, 3, classes, 0).expect("model");
     model.reservoir_mut().set_params(0.05, 0.1).expect("params");
     for j in 0..model.feature_dim() {
         model.w_out_mut()[(0, j)] = 0.01 * ((j % 11) as f64 - 5.0);
@@ -107,45 +117,52 @@ fn model_and_series(nx: usize, t: usize) -> (DfrClassifier, Matrix, Vec<f64>) {
     }
     let data: Vec<f64> = (0..t * 3).map(|i| ((i as f64) * 0.29).sin()).collect();
     let series = Matrix::from_vec(t, 3, data).expect("sized");
-    (model, series, vec![0.0, 0.0, 1.0, 0.0])
+    let mut target = vec![0.0; classes];
+    target[2] = 1.0;
+    (model, series, target)
 }
 
 #[test]
 fn sgd_step_is_allocation_free_after_warmup() {
     // Serial region: the pool spawns no threads, so any allocation counted
-    // below comes from the step itself.
-    dfr_pool::with_threads(1, || {
-        let (mut model, series, target) = model_and_series(30, 120);
-        let masked = model.reservoir().mask().apply(&series);
-        let options = BackpropOptions::default();
-        let bounds = ParamBounds::default();
-        let mut sgd = Sgd::new();
-        let mut ws = TrainWorkspace::new();
+    // below comes from the step itself. Two shapes: a small 4-class model
+    // and the AUS shape (95 classes, N_x = 30), whose readout gradient
+    // would be a 95 × 930 matrix if it were materialised.
+    for classes in [4, 95] {
+        dfr_pool::with_threads(1, || {
+            let (mut model, series, target) = model_and_series_with_classes(30, 120, classes);
+            let masked = model.reservoir().mask().apply(&series);
+            let options = BackpropOptions::default();
+            let bounds = ParamBounds::default();
+            let mut sgd = Sgd::new();
+            let mut ws = TrainWorkspace::new();
 
-        let mut step = |model: &mut DfrClassifier, ws: &mut TrainWorkspace| {
-            model
-                .forward_masked_into(&masked, &mut ws.cache)
-                .expect("forward");
-            let TrainWorkspace { cache, bp, .. } = ws;
-            backprop_into(model, &series, cache, &target, &options, bp).expect("backprop");
-            assert!(bp.grads.is_finite());
-            sgd.step(model, &bp.grads, 1e-4, 1e-4, &bounds)
-                .expect("sgd");
-        };
+            let mut step = |model: &mut DfrClassifier, ws: &mut TrainWorkspace| {
+                model
+                    .forward_masked_into(&masked, &mut ws.cache)
+                    .expect("forward");
+                let TrainWorkspace { cache, bp, .. } = ws;
+                backprop_into(model, &series, cache, &target, &options, bp).expect("backprop");
+                assert!(bp.grads.is_finite());
+                sgd.step(model, &bp.grads, 1e-4, 1e-4, &bounds)
+                    .expect("sgd");
+            };
 
-        for _ in 0..3 {
-            step(&mut model, &mut ws); // warm-up: buffers reach steady state
-        }
-        let (allocs, ()) = count_allocs(|| {
-            for _ in 0..100 {
-                step(&mut model, &mut ws);
+            for _ in 0..3 {
+                step(&mut model, &mut ws); // warm-up: buffers reach steady state
             }
+            let (allocs, ()) = count_allocs(|| {
+                for _ in 0..100 {
+                    step(&mut model, &mut ws);
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "post-warm-up SGD steps must not allocate \
+                 ({allocs} allocations in 100 steps, {classes} classes)"
+            );
         });
-        assert_eq!(
-            allocs, 0,
-            "post-warm-up SGD steps must not allocate ({allocs} allocations in 100 steps)"
-        );
-    });
+    }
 }
 
 #[test]
@@ -349,7 +366,7 @@ fn online_absorb_retract_refit_are_allocation_free_after_warmup() {
         let (p, q, beta) = (40usize, 4usize, 1e-4);
         let mut learner = OnlineRidge::new(p, q, beta).expect("learner");
         let mut features = vec![0.0f64; p];
-        let mut fill = |buf: &mut [f64], k: usize| {
+        let fill = |buf: &mut [f64], k: usize| {
             for (j, v) in buf.iter_mut().enumerate() {
                 *v = ((k * 31 + j * 7) as f64 * 0.173).sin();
             }

@@ -4,7 +4,9 @@
 //!
 //! 1. **Output layer** (§3.1, Eqs. 16–17): softmax + cross-entropy give
 //!    `∂L/∂logits = y − d`; then `∂L/∂b = g`, `∂L/∂W = g·rᵀ`,
-//!    `∂L/∂r = Wᵀ·g`.
+//!    `∂L/∂r = Wᵀ·g`. `∂L/∂W` stays factored as `(g, r)` ([`RankOne`]):
+//!    the `N_y × N_r` matrix is never built, and the optimizer applies it
+//!    as a rank-1 update in one pass over `W`.
 //! 2. **DPRR layer** (§3.2, Eqs. 20–23): each reservoir state value feeds
 //!    multiple representation features — as the *left* factor of the
 //!    products at time `k`, as the *right* factor at time `k+1`, and the
@@ -27,7 +29,7 @@ use crate::model::{DfrClassifier, ForwardCache};
 use crate::workspace::BackpropWorkspace;
 use crate::CoreError;
 use dfr_linalg::activation::softmax_cross_entropy_grad_into;
-use dfr_linalg::Matrix;
+use dfr_linalg::{LinalgError, Matrix};
 use dfr_reservoir::nonlinearity::Nonlinearity;
 
 /// Which backpropagation variant to run.
@@ -65,14 +67,14 @@ impl Default for BackpropMode {
 }
 
 /// Gradients of the loss with respect to every trainable quantity.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Gradients {
     /// `∂L/∂A` (Eq. 31 / 35).
     pub a: f64,
     /// `∂L/∂B` (Eq. 32 / 36).
     pub b: f64,
-    /// `∂L/∂W_out` (`N_y × N_r`, Eq. 17).
-    pub w_out: Matrix,
+    /// `∂L/∂W_out = g·rᵀ` (`N_y × N_r`, Eq. 17), kept as its two factors.
+    pub w_out: RankOne,
     /// `∂L/∂b` of the readout (Eq. 17).
     pub bias: Vec<f64>,
     /// `∂L/∂M` (`N_x × C`) — extension beyond the paper, present only when
@@ -81,6 +83,16 @@ pub struct Gradients {
 }
 
 impl Gradients {
+    /// Stage 1 of the backward pass (Eq. 17): `∂L/∂b = g` and
+    /// `∂L/∂W_out = g·rᵀ` from the output-layer gradient `g = y − d` and
+    /// the readout's input features `r`. Buffers are reused; any earlier
+    /// [`Gradients::scale`] is cleared.
+    pub fn set_output_layer(&mut self, g: &[f64], r: &[f64]) {
+        self.bias.clear();
+        self.bias.extend_from_slice(g);
+        self.w_out.set(g, r);
+    }
+
     /// Largest absolute gradient component (for clipping / diagnostics).
     pub fn max_abs(&self) -> f64 {
         let mut m = self.a.abs().max(self.b.abs());
@@ -96,7 +108,7 @@ impl Gradients {
     pub fn is_finite(&self) -> bool {
         self.a.is_finite()
             && self.b.is_finite()
-            && self.w_out.as_slice().iter().all(|g| g.is_finite())
+            && self.w_out.is_finite()
             && self.bias.iter().all(|g| g.is_finite())
             && self
                 .mask
@@ -115,6 +127,181 @@ impl Gradients {
         if let Some(mask) = &mut self.mask {
             mask.scale(factor);
         }
+    }
+}
+
+/// The rank-1 readout gradient `s·g·rᵀ` (Eq. 17), held as its factors:
+/// `g` (length `N_y`), `r` (length `N_r`) and a scale `s` (1 until
+/// [`RankOne::scale`]).
+///
+/// Only the update touches `N_y · N_r` elements; every check is
+/// `O(N_y + N_r)`. Each operation reproduces, bit for bit, the dense
+/// `N_y × N_r` matrix whose entry `(c, j)` is `(g_c·r_j)·s` — or `0·s`
+/// where `g_c == 0`, a row the dense builder never wrote. Exactness of [`RankOne::max_abs`] and
+/// [`RankOne::is_finite`] rests on rounding being monotone: the largest
+/// `|(g_c·r_j)·s|` is `(max|g|·max|r|)·|s|`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RankOne {
+    g: Vec<f64>,
+    r: Vec<f64>,
+    s: f64,
+}
+
+impl Default for RankOne {
+    fn default() -> Self {
+        RankOne {
+            g: Vec::new(),
+            r: Vec::new(),
+            s: 1.0,
+        }
+    }
+}
+
+/// `max |x|` over the non-NaN elements, `0.0` for none — the fold of
+/// [`Matrix::max_abs`].
+fn max_abs_of(xs: &[f64]) -> f64 {
+    xs.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
+}
+
+impl RankOne {
+    /// Sets the factors to copies of `g` and `r` and the scale to 1
+    /// (buffers reused).
+    pub fn set(&mut self, g: &[f64], r: &[f64]) {
+        self.g.clear();
+        self.g.extend_from_slice(g);
+        self.r.clear();
+        self.r.extend_from_slice(r);
+        self.s = 1.0;
+    }
+
+    /// The left factor `g` (one entry per class).
+    pub fn g(&self) -> &[f64] {
+        &self.g
+    }
+
+    /// The right factor `r` (one entry per feature).
+    pub fn r(&self) -> &[f64] {
+        &self.r
+    }
+
+    /// `(N_y, N_r)`, the shape of the matrix this represents.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.g.len(), self.r.len())
+    }
+
+    /// Entry `(c, j)` of the represented matrix: `(g_c·r_j)·s`, and `0·s`
+    /// in a row with `g_c == 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` or `j` is out of range.
+    #[inline]
+    pub fn get(&self, c: usize, j: usize) -> f64 {
+        entry(self.g[c], self.r[j], self.s)
+    }
+
+    /// Multiplies the represented matrix by `factor`. One call is exactly
+    /// the dense `(g_c·r_j)·factor`; further calls multiply into the same
+    /// scale, which may round differently from scaling twice.
+    pub fn scale(&mut self, factor: f64) {
+        self.s *= factor;
+    }
+
+    /// Largest absolute entry, or `0.0` for an empty matrix — equal to
+    /// [`Matrix::max_abs`] of the dense form (NaN entries are skipped).
+    pub fn max_abs(&self) -> f64 {
+        let m = (max_abs_of(&self.g) * max_abs_of(&self.r)) * self.s.abs();
+        // A NaN here means every non-NaN dense entry is zero (`∞·0`).
+        if m.is_nan() {
+            0.0
+        } else {
+            m
+        }
+    }
+
+    /// Whether every entry is finite. Zero rows hold `0·s`; every other
+    /// row is finite iff its `g_c` and all of `r` are, and the largest
+    /// product does not overflow.
+    pub fn is_finite(&self) -> bool {
+        if self.g.is_empty() || self.r.is_empty() {
+            return true;
+        }
+        if !self.s.is_finite() || !self.g.iter().all(|g| g.is_finite()) {
+            return false;
+        }
+        let gm = max_abs_of(&self.g);
+        gm == 0.0
+            || (self.r.iter().all(|r| r.is_finite())
+                && ((gm * max_abs_of(&self.r)) * self.s.abs()).is_finite())
+    }
+
+    /// `w += alpha·(s·g·rᵀ)` in one row-by-row pass, associated as
+    /// [`Matrix::axpy`] computes it on the dense form:
+    /// `w_cj += alpha·((g_c·r_j)·s)`. Rows with `g_c == 0` are skipped:
+    /// the dense row adds `alpha·(0·s)`, which is `−0.0` — no change — for
+    /// `alpha = −lr` with `lr ≥ 0` and `s ≥ 0`, whereas `alpha·(0·r_j)`
+    /// would turn a `−0.0` weight into `+0.0` wherever `r_j < 0`.
+    ///
+    /// Returns whether every element of `w` is finite afterwards — the
+    /// check folded into the same pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `w`'s shape
+    /// differs from [`RankOne::shape`].
+    pub(crate) fn add_to(&self, alpha: f64, w: &mut Matrix) -> Result<bool, LinalgError> {
+        check_shape(w, self.shape())?;
+        let s = self.s;
+        let mut finite = true;
+        for (c, &gc) in self.g.iter().enumerate() {
+            let row = w.row_mut(c);
+            if gc == 0.0 {
+                finite &= row.iter().all(|w| w.is_finite());
+                continue;
+            }
+            for (w, &r) in row.iter_mut().zip(&self.r) {
+                *w += alpha * ((gc * r) * s);
+                finite &= w.is_finite();
+            }
+        }
+        Ok(finite)
+    }
+
+    /// `v = mu·v + s·g·rᵀ` elementwise on a dense accumulator — the dense
+    /// `v.scale(mu); v.axpy(1.0, grad)` in one pass (momentum velocity).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `v`'s shape
+    /// differs from [`RankOne::shape`].
+    pub(crate) fn accumulate_into(&self, mu: f64, v: &mut Matrix) -> Result<(), LinalgError> {
+        check_shape(v, self.shape())?;
+        for (c, &gc) in self.g.iter().enumerate() {
+            for (v, &r) in v.row_mut(c).iter_mut().zip(&self.r) {
+                *v = *v * mu + entry(gc, r, self.s);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One dense entry: `(g_c·r_j)·s`, or `0·s` where the dense builder left
+/// the row zero.
+#[inline]
+fn entry(gc: f64, r: f64, s: f64) -> f64 {
+    let x = if gc == 0.0 { 0.0 } else { gc * r };
+    x * s
+}
+
+fn check_shape(m: &Matrix, shape: (usize, usize)) -> Result<(), LinalgError> {
+    if m.shape() == shape {
+        Ok(())
+    } else {
+        Err(LinalgError::ShapeMismatch {
+            op: "axpy",
+            lhs: m.shape(),
+            rhs: shape,
+        })
     }
 }
 
@@ -187,19 +374,7 @@ pub fn backprop_into<N: Nonlinearity + Clone>(
     // ---- Stage 1: output layer (Eqs. 16–17) -----------------------------
     ws.g.resize(ny, 0.0);
     softmax_cross_entropy_grad_into(&cache.probs, target, &mut ws.g); // y − d
-    ws.grads.bias.resize(ny, 0.0);
-    ws.grads.bias.copy_from_slice(&ws.g);
-    ws.grads.w_out.resize(ny, nr);
-    ws.grads.w_out.fill_zero();
-    for (c, &gc) in ws.g.iter().enumerate() {
-        if gc == 0.0 {
-            continue;
-        }
-        let row = ws.grads.w_out.row_mut(c);
-        for (w, &r) in row.iter_mut().zip(&cache.features) {
-            *w = gc * r;
-        }
-    }
+    ws.grads.set_output_layer(&ws.g, &cache.features);
     // ∂L/∂r = W_outᵀ · g. The model feeds the readout the DPRR scaled by
     // 1/T (see `DfrClassifier::forward_from_run`), so the gradient with
     // respect to the *raw* sums of Eqs. 18–19 — what the DPRR backward
@@ -401,7 +576,7 @@ mod tests {
             let num = fd_param(&m, &u, &d, |m, h| {
                 m.w_out_mut()[(c, j)] += h;
             });
-            check_close(g.w_out[(c, j)], num, &format!("dL/dW[{c}][{j}]"));
+            check_close(g.w_out.get(c, j), num, &format!("dL/dW[{c}][{j}]"));
         }
         for c in 0..2 {
             let num = fd_param(&m, &u, &d, |m, h| {

@@ -149,35 +149,48 @@ impl Sgd {
                 context: "sgd gradients",
             });
         }
-        // Borrow the effective update in place — no per-step gradient
-        // clones on either path (the hot loop's allocation-free contract).
-        let (ga, gb, gw, gbias): (f64, f64, &Matrix, &[f64]) = if self.momentum > 0.0 {
+        // Plain SGD applies the rank-1 readout gradient straight to
+        // `W_out`, checking finiteness in the same pass; momentum keeps a
+        // dense velocity and adds the same factors into it. No per-step
+        // gradient clones on either path (the hot loop's allocation-free
+        // contract).
+        let velocity = if self.momentum > 0.0 {
+            let (rows, cols) = grads.w_out.shape();
             let v = self.velocity.get_or_insert_with(|| Velocity {
                 a: 0.0,
                 b: 0.0,
-                w_out: Matrix::zeros(grads.w_out.rows(), grads.w_out.cols()),
+                w_out: Matrix::zeros(rows, cols),
                 bias: vec![0.0; grads.bias.len()],
             });
             v.a = self.momentum * v.a + grads.a;
             v.b = self.momentum * v.b + grads.b;
-            v.w_out.scale(self.momentum);
-            v.w_out.axpy(1.0, &grads.w_out)?;
+            grads.w_out.accumulate_into(self.momentum, &mut v.w_out)?;
             for (vb, &g) in v.bias.iter_mut().zip(&grads.bias) {
                 *vb = self.momentum * *vb + g;
             }
-            (v.a, v.b, &v.w_out, &v.bias)
+            Some(&*v)
         } else {
-            (grads.a, grads.b, &grads.w_out, &grads.bias)
+            None
+        };
+        let (ga, gb, gbias) = match velocity {
+            Some(v) => (v.a, v.b, &v.bias),
+            None => (grads.a, grads.b, &grads.bias),
         };
 
         let (a0, b0) = (model.reservoir().a(), model.reservoir().b());
         let (a1, b1) = bounds.clamp(a0 - lr_reservoir * ga, b0 - lr_reservoir * gb);
         model.reservoir_mut().set_params(a1, b1)?;
-        model.w_out_mut().axpy(-lr_output, gw)?;
+        let finite = match velocity {
+            Some(v) => {
+                model.w_out_mut().axpy(-lr_output, &v.w_out)?;
+                model.w_out().as_slice().iter().all(|w| w.is_finite())
+            }
+            None => grads.w_out.add_to(-lr_output, model.w_out_mut())?,
+        };
         for (bv, g) in model.bias_mut().iter_mut().zip(gbias) {
             *bv -= lr_output * g;
         }
-        if model.w_out().as_slice().iter().any(|w| !w.is_finite()) {
+        if !finite {
             return Err(CoreError::NumericalFailure {
                 context: "sgd readout update",
             });
@@ -257,14 +270,16 @@ impl Adam {
         };
         update_scalar(&mut m.a, &mut v.a, grads.a, self.beta1, self.beta2);
         update_scalar(&mut m.b, &mut v.b, grads.b, self.beta1, self.beta2);
-        for i in 0..rows * cols {
-            update_scalar(
-                &mut m.w_out.as_mut_slice()[i],
-                &mut v.w_out.as_mut_slice()[i],
-                grads.w_out.as_slice()[i],
-                self.beta1,
-                self.beta2,
-            );
+        for c in 0..rows {
+            for j in 0..cols {
+                update_scalar(
+                    &mut m.w_out[(c, j)],
+                    &mut v.w_out[(c, j)],
+                    grads.w_out.get(c, j),
+                    self.beta1,
+                    self.beta2,
+                );
+            }
         }
         for i in 0..grads.bias.len() {
             update_scalar(
@@ -414,5 +429,368 @@ mod tests {
             .unwrap();
         let loss1 = m.forward(&u).unwrap().loss(&d);
         assert!(loss1 < loss0);
+    }
+
+    /// The dense readout gradient and the optimizer steps that consumed
+    /// it before `∂L/∂W_out` was kept factored: the reference the rank-1
+    /// path must reproduce bit for bit.
+    mod dense {
+        use super::*;
+        use crate::backprop::Gradients;
+
+        #[derive(Clone)]
+        pub struct Grads {
+            pub a: f64,
+            pub b: f64,
+            pub w_out: Matrix,
+            pub bias: Vec<f64>,
+        }
+
+        /// Materialises `g·rᵀ` as the dense builder did: zero-filled,
+        /// rows with `g_c == 0` left untouched. `g` must be unscaled.
+        pub fn materialise(g: &Gradients) -> Grads {
+            let (gf, r) = (g.w_out.g(), g.w_out.r());
+            let mut w_out = Matrix::zeros(gf.len(), r.len());
+            for (c, &gc) in gf.iter().enumerate() {
+                if gc == 0.0 {
+                    continue;
+                }
+                for (w, &rj) in w_out.row_mut(c).iter_mut().zip(r) {
+                    *w = gc * rj;
+                }
+            }
+            Grads {
+                a: g.a,
+                b: g.b,
+                w_out,
+                bias: g.bias.clone(),
+            }
+        }
+
+        impl Grads {
+            pub fn max_abs(&self) -> f64 {
+                let mut m = self.a.abs().max(self.b.abs());
+                m = m.max(self.w_out.max_abs());
+                self.bias.iter().fold(m, |acc, g| acc.max(g.abs()))
+            }
+
+            pub fn is_finite(&self) -> bool {
+                self.a.is_finite()
+                    && self.b.is_finite()
+                    && self.w_out.as_slice().iter().all(|g| g.is_finite())
+                    && self.bias.iter().all(|g| g.is_finite())
+            }
+
+            pub fn scale(&mut self, factor: f64) {
+                self.a *= factor;
+                self.b *= factor;
+                self.w_out.scale(factor);
+                for g in &mut self.bias {
+                    *g *= factor;
+                }
+            }
+        }
+
+        /// The dense `Sgd::step` (plain and momentum).
+        pub fn sgd_step(
+            momentum: f64,
+            velocity: &mut Option<Grads>,
+            model: &mut DfrClassifier,
+            grads: &Grads,
+            lr_reservoir: f64,
+            lr_output: f64,
+        ) -> Result<(), CoreError> {
+            assert!(grads.is_finite());
+            let eff = if momentum > 0.0 {
+                let v = velocity.get_or_insert_with(|| Grads {
+                    a: 0.0,
+                    b: 0.0,
+                    w_out: Matrix::zeros(grads.w_out.rows(), grads.w_out.cols()),
+                    bias: vec![0.0; grads.bias.len()],
+                });
+                v.a = momentum * v.a + grads.a;
+                v.b = momentum * v.b + grads.b;
+                v.w_out.scale(momentum);
+                v.w_out.axpy(1.0, &grads.w_out)?;
+                for (vb, &g) in v.bias.iter_mut().zip(&grads.bias) {
+                    *vb = momentum * *vb + g;
+                }
+                v.clone()
+            } else {
+                grads.clone()
+            };
+            let (a0, b0) = (model.reservoir().a(), model.reservoir().b());
+            let (a1, b1) =
+                ParamBounds::default().clamp(a0 - lr_reservoir * eff.a, b0 - lr_reservoir * eff.b);
+            model.reservoir_mut().set_params(a1, b1)?;
+            model.w_out_mut().axpy(-lr_output, &eff.w_out)?;
+            for (bv, g) in model.bias_mut().iter_mut().zip(&eff.bias) {
+                *bv -= lr_output * g;
+            }
+            assert!(model.w_out().as_slice().iter().all(|w| w.is_finite()));
+            Ok(())
+        }
+
+        /// The dense `Adam::step` with default hyperparameters; `state`
+        /// holds `(step, m, v)`.
+        pub fn adam_step(
+            state: &mut (usize, Option<Grads>, Option<Grads>),
+            model: &mut DfrClassifier,
+            grads: &Grads,
+            lr_reservoir: f64,
+            lr_output: f64,
+        ) -> Result<(), CoreError> {
+            let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
+            let zero = || Grads {
+                a: 0.0,
+                b: 0.0,
+                w_out: Matrix::zeros(grads.w_out.rows(), grads.w_out.cols()),
+                bias: vec![0.0; grads.bias.len()],
+            };
+            let m = state.1.get_or_insert_with(zero);
+            let v = state.2.get_or_insert_with(zero);
+            state.0 += 1;
+            let t = state.0 as i32;
+            let (bc1, bc2) = (1.0 - f64::powi(beta1, t), 1.0 - f64::powi(beta2, t));
+            let upd = |m: &mut f64, v: &mut f64, g: f64| {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+            };
+            upd(&mut m.a, &mut v.a, grads.a);
+            upd(&mut m.b, &mut v.b, grads.b);
+            for i in 0..grads.w_out.as_slice().len() {
+                upd(
+                    &mut m.w_out.as_mut_slice()[i],
+                    &mut v.w_out.as_mut_slice()[i],
+                    grads.w_out.as_slice()[i],
+                );
+            }
+            for i in 0..grads.bias.len() {
+                upd(&mut m.bias[i], &mut v.bias[i], grads.bias[i]);
+            }
+            let adapt = |mh: f64, vh: f64| mh / bc1 / ((vh / bc2).sqrt() + eps);
+            let (a0, b0) = (model.reservoir().a(), model.reservoir().b());
+            let (a1, b1) = ParamBounds::default().clamp(
+                a0 - lr_reservoir * adapt(m.a, v.a),
+                b0 - lr_reservoir * adapt(m.b, v.b),
+            );
+            model.reservoir_mut().set_params(a1, b1)?;
+            for i in 0..grads.w_out.as_slice().len() {
+                model.w_out_mut().as_mut_slice()[i] -=
+                    lr_output * adapt(m.w_out.as_slice()[i], v.w_out.as_slice()[i]);
+            }
+            for i in 0..grads.bias.len() {
+                model.bias_mut()[i] -= lr_output * adapt(m.bias[i], v.bias[i]);
+            }
+            Ok(())
+        }
+    }
+
+    /// Every trainable quantity of the SGD step, as bits.
+    fn step_bits(m: &DfrClassifier) -> Vec<u64> {
+        let mut bits = vec![m.reservoir().a().to_bits(), m.reservoir().b().to_bits()];
+        bits.extend(m.w_out().as_slice().iter().map(|w| w.to_bits()));
+        bits.extend(m.bias().iter().map(|w| w.to_bits()));
+        bits
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Opt {
+        Plain,
+        Momentum,
+        Adam,
+    }
+
+    /// Runs `steps` forward/backward/update rounds through the factored
+    /// optimizer and the dense reference side by side, asserting equal
+    /// bits after every step (and equal clip norms where clipping).
+    fn run_against_dense(opt: Opt, clip: Option<f64>, steps: usize) {
+        let mut m = DfrClassifier::paper_default(5, 2, 4, 3).unwrap();
+        m.reservoir_mut().set_params(0.2, 0.15).unwrap();
+        for c in 0..4 {
+            for j in 0..m.feature_dim() {
+                m.w_out_mut()[(c, j)] = 0.03 * (((c * 7 + j) % 9) as f64 - 4.0);
+            }
+        }
+        let mut reference = m.clone();
+        let (mut sgd, mut adam) = match opt {
+            Opt::Momentum => (Sgd::with_momentum(0.9), Adam::new()),
+            _ => (Sgd::new(), Adam::new()),
+        };
+        let mut velocity = None;
+        let mut adam_state = (0, None, None);
+        for step in 0..steps {
+            let data: Vec<f64> = (0..16)
+                .map(|i| ((i * 5 + step * 3) as f64 * 0.37).sin())
+                .collect();
+            let u = Matrix::from_vec(8, 2, data).unwrap();
+            let mut d = [0.0; 4];
+            d[step % 4] = 1.0;
+            let cache = m.forward(&u).unwrap();
+            let (_, mut g) = backprop(&m, &u, &cache, &d, &BackpropOptions::default()).unwrap();
+            // The reference sees the same gradient, from the same model.
+            assert_eq!(step_bits(&m), step_bits(&reference), "{opt:?} step {step}");
+            let mut dense_g = dense::materialise(&g);
+            assert_eq!(g.is_finite(), dense_g.is_finite());
+            if let Some(clip) = clip {
+                let (mf, md) = (g.max_abs(), dense_g.max_abs());
+                assert_eq!(mf.to_bits(), md.to_bits(), "{opt:?} step {step} max_abs");
+                if mf > clip {
+                    g.scale(clip / mf);
+                    dense_g.scale(clip / md);
+                    assert_eq!(g.max_abs().to_bits(), dense_g.max_abs().to_bits());
+                }
+            }
+            let (lr_res, lr_out) = (0.05, 0.3);
+            let bounds = ParamBounds::default();
+            match opt {
+                Opt::Plain | Opt::Momentum => {
+                    sgd.step(&mut m, &g, lr_res, lr_out, &bounds).unwrap();
+                    dense::sgd_step(
+                        sgd.momentum,
+                        &mut velocity,
+                        &mut reference,
+                        &dense_g,
+                        lr_res,
+                        lr_out,
+                    )
+                    .unwrap();
+                }
+                Opt::Adam => {
+                    adam.step(&mut m, &g, lr_res, lr_out, &bounds).unwrap();
+                    dense::adam_step(&mut adam_state, &mut reference, &dense_g, lr_res, lr_out)
+                        .unwrap();
+                }
+            }
+            assert_eq!(step_bits(&m), step_bits(&reference), "{opt:?} step {step}");
+        }
+    }
+
+    #[test]
+    fn factored_step_matches_dense_reference_bitwise() {
+        for opt in [Opt::Plain, Opt::Momentum, Opt::Adam] {
+            run_against_dense(opt, None, 12);
+            // A clip below the typical gradient norm scales most steps.
+            run_against_dense(opt, Some(0.05), 12);
+        }
+    }
+
+    #[test]
+    fn zero_gradient_row_keeps_negative_zero_weights() {
+        // Row 1 has g_c == 0 and sits over −0.0 weights; r has negative
+        // entries, so `−lr·(0·r_j)` would be +0.0 and flip them.
+        let mut m = DfrClassifier::paper_default(2, 1, 3, 0).unwrap();
+        let nr = m.feature_dim();
+        for j in 0..nr {
+            m.w_out_mut()[(1, j)] = -0.0;
+            m.w_out_mut()[(0, j)] = 0.1 * j as f64;
+        }
+        let r: Vec<f64> = (0..nr).map(|j| j as f64 - 2.5).collect();
+        let mut g = Gradients::default();
+        g.set_output_layer(&[0.25, 0.0, -0.25], &r);
+        for opt in [Opt::Plain, Opt::Momentum, Opt::Adam] {
+            let mut fm = m.clone();
+            let mut reference = m.clone();
+            let dense_g = dense::materialise(&g);
+            let bounds = ParamBounds::default();
+            match opt {
+                Opt::Adam => {
+                    Adam::new().step(&mut fm, &g, 0.0, 0.5, &bounds).unwrap();
+                    dense::adam_step(&mut (0, None, None), &mut reference, &dense_g, 0.0, 0.5)
+                        .unwrap();
+                }
+                _ => {
+                    let mu = if matches!(opt, Opt::Momentum) {
+                        0.9
+                    } else {
+                        0.0
+                    };
+                    let mut sgd = Sgd::with_momentum(mu);
+                    let mut velocity = None;
+                    for _ in 0..2 {
+                        sgd.step(&mut fm, &g, 0.0, 0.5, &bounds).unwrap();
+                        dense::sgd_step(mu, &mut velocity, &mut reference, &dense_g, 0.0, 0.5)
+                            .unwrap();
+                    }
+                }
+            }
+            assert_eq!(step_bits(&fm), step_bits(&reference), "{opt:?}");
+            assert!(
+                fm.w_out()
+                    .row(1)
+                    .iter()
+                    .all(|w| w.to_bits() == (-0.0f64).to_bits()),
+                "{opt:?}: a zero gradient row must leave −0.0 weights alone"
+            );
+        }
+    }
+
+    #[test]
+    fn finiteness_and_max_abs_match_dense_reference() {
+        let big = f64::MAX.sqrt() * 4.0;
+        let cases: [(&str, Vec<f64>, Vec<f64>); 7] = [
+            ("finite", vec![0.5, 0.0, -2.0], vec![1.5, -3.0, 0.25, 0.0]),
+            (
+                "NaN g",
+                vec![0.5, f64::NAN, -2.0],
+                vec![1.5, -3.0, 0.25, 0.0],
+            ),
+            (
+                "inf r",
+                vec![0.5, 0.0, -2.0],
+                vec![1.5, f64::INFINITY, 0.25, 0.0],
+            ),
+            (
+                "NaN r",
+                vec![0.5, 0.0, -2.0],
+                vec![1.5, f64::NAN, 0.25, 0.0],
+            ),
+            (
+                "inf r, zero g",
+                vec![0.0, -0.0],
+                vec![f64::NEG_INFINITY, 2.0],
+            ),
+            ("inf g, zero r", vec![f64::INFINITY, 1.0], vec![0.0, -0.0]),
+            ("|g_c·r_j| > MAX", vec![big, 1.0], vec![0.5, -big]),
+        ];
+        for (what, gv, r) in cases {
+            for scale in [None, Some(0.5), Some(1e-300)] {
+                let mut g = Gradients::default();
+                g.set_output_layer(&gv, &r);
+                g.a = 0.125;
+                g.b = -0.5;
+                let mut dense_g = dense::materialise(&g);
+                if let Some(s) = scale {
+                    g.scale(s);
+                    dense_g.scale(s);
+                }
+                assert_eq!(g.is_finite(), dense_g.is_finite(), "{what} {scale:?}");
+                assert_eq!(
+                    g.w_out.is_finite(),
+                    dense_g.w_out.as_slice().iter().all(|w| w.is_finite()),
+                    "{what} {scale:?}: readout is_finite"
+                );
+                assert_eq!(
+                    g.w_out.max_abs().to_bits(),
+                    dense_g.w_out.max_abs().to_bits(),
+                    "{what} {scale:?}: readout max_abs"
+                );
+                assert_eq!(
+                    g.max_abs().to_bits(),
+                    dense_g.max_abs().to_bits(),
+                    "{what} {scale:?}: max_abs"
+                );
+                let (rows, cols) = g.w_out.shape();
+                for c in 0..rows {
+                    for j in 0..cols {
+                        assert_eq!(
+                            g.w_out.get(c, j).to_bits(),
+                            dense_g.w_out[(c, j)].to_bits(),
+                            "{what} {scale:?}: entry ({c}, {j})"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

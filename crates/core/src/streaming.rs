@@ -310,20 +310,8 @@ pub fn streaming_backprop_into<N: Nonlinearity + Clone>(
     let window = cache.tail_masked.rows();
     ws.g.resize(ny, 0.0);
     softmax_cross_entropy_grad_into(&cache.probs, target, &mut ws.g);
-    ws.grads.bias.resize(ny, 0.0);
-    ws.grads.bias.copy_from_slice(&ws.g);
+    ws.grads.set_output_layer(&ws.g, &cache.features);
     ws.grads.mask = None;
-    ws.grads.w_out.resize(ny, nr);
-    ws.grads.w_out.fill_zero();
-    for (c, &gc) in ws.g.iter().enumerate() {
-        if gc == 0.0 {
-            continue;
-        }
-        let row = ws.grads.w_out.row_mut(c);
-        for (w, &r) in row.iter_mut().zip(&cache.features) {
-            *w = gc * r;
-        }
-    }
     ws.dr.resize(nr, 0.0);
     model.w_out().t_matvec_into(&ws.g, &mut ws.dr)?;
     let scale = 1.0 / (cache.t_len as f64);
@@ -491,8 +479,12 @@ mod tests {
                 g_ref.b,
                 g_st.b
             );
-            for (a, b) in g_ref.w_out.as_slice().iter().zip(g_st.w_out.as_slice()) {
-                assert!((a - b).abs() < 1e-12);
+            let (ny, nr) = g_ref.w_out.shape();
+            assert_eq!(g_st.w_out.shape(), (ny, nr));
+            for c in 0..ny {
+                for j in 0..nr {
+                    assert!((g_ref.w_out.get(c, j) - g_st.w_out.get(c, j)).abs() < 1e-12);
+                }
             }
         }
     }

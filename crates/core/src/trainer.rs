@@ -18,7 +18,7 @@ use crate::readout::{fit_readout_with, readout_accuracy_with, PAPER_BETAS};
 use crate::workspace::TrainWorkspace;
 use crate::{metrics, CoreError};
 use dfr_data::Dataset;
-use dfr_linalg::Matrix;
+use dfr_linalg::{GemmWorkspace, Matrix};
 use dfr_reservoir::representation::Dprr;
 use dfr_reservoir::ReservoirRun;
 use rand::seq::SliceRandom;
@@ -206,12 +206,17 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
         .set_params(options.init.0, options.init.1)?;
 
     // The mask is fixed (unless the mask-training extension is on), so the
-    // masked drive of every training sample can be computed once.
+    // masked drive of every training sample can be computed once. Mask
+    // changes bump `mask_version`; a sample's drive is recomputed just
+    // before its forward pass, and only if it predates the current mask.
     let mut masked: Vec<Matrix> = ds
         .train()
         .iter()
         .map(|s| model.reservoir().mask().apply(&s.series))
         .collect();
+    let mut drive_version = vec![0u64; masked.len()];
+    let mut mask_version = 0u64;
+    let mut gemm = GemmWorkspace::new();
     let targets = ds.one_hot_train();
 
     let bp_options = BackpropOptions {
@@ -237,18 +242,20 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
         let mut loss_sum = 0.0;
         for &i in &order {
             let sample = &ds.train()[i];
+            if drive_version[i] != mask_version {
+                model
+                    .reservoir()
+                    .mask()
+                    .apply_into(&sample.series, &mut masked[i], &mut gemm);
+                drive_version[i] = mask_version;
+            }
             match model.forward_masked_into(&masked[i], &mut ws.cache) {
                 Ok(()) => {}
                 Err(CoreError::Reservoir(dfr_reservoir::ReservoirError::Diverged { .. })) => {
                     // SGD stepped into the unstable region; pull (A, B) — and
                     // the mask, if it is being trained — back toward the
                     // initial point and skip this sample.
-                    recover_params(&mut model, options, &initial_mask)?;
-                    if options.train_mask {
-                        for (j, s) in ds.train().iter().enumerate() {
-                            masked[j] = model.reservoir().mask().apply(&s.series);
-                        }
-                    }
+                    recover_params(&mut model, options, &initial_mask, &mut mask_version)?;
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -265,7 +272,7 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
             loss_sum += loss;
             let grads = &mut bp.grads;
             if !grads.is_finite() {
-                recover_params(&mut model, options, &initial_mask)?;
+                recover_params(&mut model, options, &initial_mask, &mut mask_version)?;
                 continue;
             }
             if let Some(clip) = options.grad_clip {
@@ -283,11 +290,9 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
                     for m in mask.as_mut_slice() {
                         *m = m.clamp(lo, hi);
                     }
-                    // Mask changed → the cached drive for this sample (and all
-                    // others) is stale; recompute lazily below.
-                    for (j, s) in ds.train().iter().enumerate() {
-                        masked[j] = model.reservoir().mask().apply(&s.series);
-                    }
+                    // Every cached drive is now stale; each is recomputed
+                    // before its sample's next forward pass.
+                    mask_version += 1;
                 }
             }
         }
@@ -430,11 +435,13 @@ fn validate(ds: &Dataset, options: &TrainOptions) -> Result<(), CoreError> {
 
 /// Pulls `(A, B)` — and, when mask training is active, the mask — halfway
 /// back toward the initial point after a divergence: a cheap
-/// trust-region-style recovery that keeps SGD going.
+/// trust-region-style recovery that keeps SGD going. A moved mask bumps
+/// `mask_version`, so every cached drive is recomputed before its next use.
 fn recover_params(
     model: &mut DfrClassifier,
     options: &TrainOptions,
     initial_mask: &Matrix,
+    mask_version: &mut u64,
 ) -> Result<(), CoreError> {
     let (a, b) = (model.reservoir().a(), model.reservoir().b());
     let (ia, ib) = options.init;
@@ -445,6 +452,7 @@ fn recover_params(
         let mask = model.reservoir_mut().mask_mut().matrix_mut();
         mask.scale(0.5);
         mask.axpy(0.5, initial_mask)?;
+        *mask_version += 1;
     }
     Ok(())
 }
@@ -546,6 +554,168 @@ mod tests {
         // Mask must have moved away from ±1 entries.
         let mask = report.model.reservoir().mask().matrix();
         assert!(mask.as_slice().iter().any(|&v| v.abs() != 1.0));
+    }
+
+    /// The mask-training loop as it was before drives were recomputed
+    /// lazily: after every mask change, every training sample's drive is
+    /// recomputed at once. Returns the trained model and how many
+    /// divergence recoveries (which also move the mask) it made.
+    fn eager_mask_reference(
+        ds: &Dataset,
+        options: &TrainOptions,
+    ) -> Result<(DfrClassifier, usize), CoreError> {
+        let mut model = DfrClassifier::paper_default(
+            options.nodes,
+            ds.channels(),
+            ds.num_classes(),
+            options.mask_seed,
+        )?;
+        model
+            .reservoir_mut()
+            .set_params(options.init.0, options.init.1)?;
+        let mut masked: Vec<Matrix> = ds
+            .train()
+            .iter()
+            .map(|s| model.reservoir().mask().apply(&s.series))
+            .collect();
+        let targets = ds.one_hot_train();
+        let bp_options = BackpropOptions {
+            mode: options.mode,
+            mask_gradient: options.train_mask,
+        };
+        let initial_mask = model.reservoir().mask().matrix().clone();
+        let mut sgd = Sgd::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(options.shuffle_seed);
+        let mut order: Vec<usize> = (0..ds.train().len()).collect();
+        let mut ws = TrainWorkspace::new();
+        let mut recoveries = 0;
+        let mut unused_version = 0;
+        for epoch in 0..options.epochs {
+            let lr_res = options.reservoir_schedule.lr(epoch);
+            let lr_out = options.output_schedule.lr(epoch);
+            order.shuffle(&mut rng);
+            for &i in &order {
+                let sample = &ds.train()[i];
+                match model.forward_masked_into(&masked[i], &mut ws.cache) {
+                    Ok(()) => {}
+                    Err(CoreError::Reservoir(dfr_reservoir::ReservoirError::Diverged {
+                        ..
+                    })) => {
+                        recover_params(&mut model, options, &initial_mask, &mut unused_version)?;
+                        recoveries += 1;
+                        for (j, s) in ds.train().iter().enumerate() {
+                            masked[j] = model.reservoir().mask().apply(&s.series);
+                        }
+                        continue;
+                    }
+                    Err(e) => return Err(e),
+                }
+                let TrainWorkspace { cache, bp, .. } = &mut ws;
+                backprop_into(
+                    &model,
+                    &sample.series,
+                    cache,
+                    targets.row(i),
+                    &bp_options,
+                    bp,
+                )?;
+                let grads = &mut bp.grads;
+                assert!(grads.is_finite(), "the reference recomputes no drive here");
+                if let Some(clip) = options.grad_clip {
+                    let m = grads.max_abs();
+                    if m > clip {
+                        grads.scale(clip / m);
+                    }
+                }
+                sgd.step(&mut model, grads, lr_res, lr_out, &options.bounds)?;
+                let mg = grads.mask.as_ref().expect("mask gradient requested");
+                let mask = model.reservoir_mut().mask_mut().matrix_mut();
+                mask.axpy(-lr_res * options.mask_lr_scale, mg)?;
+                let (lo, hi) = options.mask_bounds;
+                for m in mask.as_mut_slice() {
+                    *m = m.clamp(lo, hi);
+                }
+                for (j, s) in ds.train().iter().enumerate() {
+                    masked[j] = model.reservoir().mask().apply(&s.series);
+                }
+            }
+        }
+        let features = features_for(&model, ds.train().iter().map(|s| &s.series))?;
+        let fit = crate::readout::fit_readout(&features, &targets, &options.betas)?;
+        model.set_readout(fit.w_out, fit.bias)?;
+        Ok((model, recoveries))
+    }
+
+    /// Every trainable quantity of a model, as bits.
+    fn model_bits(m: &DfrClassifier) -> Vec<u64> {
+        let mut bits = vec![m.reservoir().a().to_bits(), m.reservoir().b().to_bits()];
+        let params = [
+            m.reservoir().mask().matrix().as_slice(),
+            m.w_out().as_slice(),
+            m.bias(),
+        ];
+        bits.extend(params.iter().flat_map(|p| p.iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn lazy_mask_drives_freeze_to_the_eager_loop_bits() {
+        let ds = easy_dataset();
+        // One training sample: after a divergence recovery moves the mask,
+        // the next forward pass reuses that same sample's drive.
+        let mut one = DatasetSpec::new("trainer-one", 2, 30, 2, 1, 4, 0.3).build(0);
+        dfr_data::normalize::standardize(&mut one);
+        // A reservoir rate this large steps into the unstable region, so
+        // divergence recovery (which also moves the mask) runs.
+        let unstable = TrainOptions {
+            train_mask: true,
+            epochs: 3,
+            reservoir_schedule: Schedule::constant(50.0),
+            bounds: ParamBounds {
+                a: (1e-3, 3.0),
+                b: (1e-3, 0.9),
+            },
+            ..small_options()
+        };
+        let cases = [
+            (
+                &ds,
+                TrainOptions {
+                    train_mask: true,
+                    epochs: 3,
+                    ..small_options()
+                },
+            ),
+            (
+                &ds,
+                TrainOptions {
+                    train_mask: true,
+                    grad_clip: Some(0.5),
+                    ..TrainOptions::fast_demo()
+                },
+            ),
+            (&ds, unstable.clone()),
+            (
+                &one,
+                TrainOptions {
+                    epochs: 12,
+                    output_schedule: Schedule::constant(0.1),
+                    reservoir_schedule: Schedule::constant(5000.0),
+                    ..unstable
+                },
+            ),
+        ];
+        let mut recoveries = Vec::new();
+        for (ds, options) in cases {
+            let (reference, recovered) = eager_mask_reference(ds, &options).unwrap();
+            recoveries.push(recovered);
+            let report = train(ds, &options).unwrap();
+            assert!(
+                model_bits(&report.model) == model_bits(&reference),
+                "lazily recomputed drives changed the trained model"
+            );
+        }
+        assert!(recoveries[2] > 0 && recoveries[3] > 0, "{recoveries:?}");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The paper's training loop (§4) is per-sample SGD — forward pass,
 //! backward pass, parameter update — repeated for every sample of every
 //! epoch. Each of those stages needs scratch storage (reservoir state
-//! history, DPRR features, backpropagated values, gradient matrices) whose
-//! shapes are fixed by the model and dataset, so allocating them per sample
-//! is pure overhead. This module groups that storage into workspaces that
+//! history, DPRR features, backpropagated values) whose shapes are fixed
+//! by the model and dataset, so allocating them per sample is pure
+//! overhead. This module groups that storage into workspaces that
 //! are created once and recycled:
 //!
 //! * [`BackpropWorkspace`] — gradient buffers plus the backward pass's
@@ -64,13 +64,7 @@ impl BackpropWorkspace {
     /// An empty workspace; every buffer is sized lazily on first use.
     pub fn new() -> Self {
         BackpropWorkspace {
-            grads: Gradients {
-                a: 0.0,
-                b: 0.0,
-                w_out: Matrix::zeros(0, 0),
-                bias: Vec::new(),
-                mask: None,
-            },
+            grads: Gradients::default(),
             g: Vec::new(),
             dr: Vec::new(),
             dr_products: Matrix::zeros(0, 0),
