@@ -2,7 +2,7 @@
 //! (O(T·N_x²)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dfr_linalg::Matrix;
+use dfr_linalg::{GemmWorkspace, Matrix};
 use dfr_reservoir::representation::Dprr;
 
 fn states(t: usize, nx: usize) -> Matrix {
@@ -16,7 +16,8 @@ fn bench_representations(c: &mut Criterion) {
         let history = states(t, 30);
         group.bench_with_input(BenchmarkId::new("dprr", t), &t, |b, _| {
             let mut out = vec![0.0; Dprr.dim(30)];
-            b.iter(|| Dprr.features_into(std::hint::black_box(&history), &mut out))
+            let mut ws = GemmWorkspace::new();
+            b.iter(|| Dprr.features_into(std::hint::black_box(&history), &mut out, &mut ws))
         });
     }
     group.finish();

@@ -289,7 +289,7 @@ fn legacy_drive(a: f64, b: f64, masked: &Matrix) -> Option<Matrix> {
 }
 
 /// Pre-PR DPRR kernel: one rank-1 accumulator sweep per timestep (the
-/// current kernel fuses four steps per sweep).
+/// current kernel is one packed GEMM over two shifted state windows).
 fn legacy_dprr(states: &Matrix) -> Vec<f64> {
     let nx = states.cols();
     let t_len = states.rows();

@@ -5,7 +5,8 @@
 //! update) performs **zero** heap allocations — the contract behind the
 //! workspace-buffer convention of `DESIGN.md` §9. The same is pinned for
 //! the streaming (constant-memory) step, the reservoir pass and the
-//! `RidgePlan` β-sweep.
+//! `RidgePlan` β-sweep, and for a NET-shape (T = 993) step at the ambient
+//! pool width, whose DPRR product must stay under the fan-out threshold.
 //!
 //! Gated behind the `count-allocs` feature so normal test runs keep the
 //! system allocator untouched:
@@ -163,6 +164,43 @@ fn sgd_step_is_allocation_free_after_warmup() {
             );
         });
     }
+}
+
+#[test]
+fn net_shape_sgd_step_is_allocation_free_at_ambient_width() {
+    // NET's series length (T = 993) and class count at the ambient pool
+    // width: the 30×30×992 DPRR product must stay under the fan-out
+    // threshold and run inline — a scoped spawn would allocate.
+    let (mut model, series, target) = model_and_series_with_classes(30, 993, 13);
+    let masked = model.reservoir().mask().apply(&series);
+    let options = BackpropOptions::default();
+    let bounds = ParamBounds::default();
+    let mut sgd = Sgd::new();
+    let mut ws = TrainWorkspace::new();
+    let mut step = |model: &mut DfrClassifier, ws: &mut TrainWorkspace| {
+        model
+            .forward_masked_into(&masked, &mut ws.cache)
+            .expect("forward");
+        let TrainWorkspace { cache, bp, .. } = ws;
+        backprop_into(model, &series, cache, &target, &options, bp).expect("backprop");
+        sgd.step(model, &bp.grads, 1e-4, 1e-4, &bounds)
+            .expect("sgd");
+    };
+    for _ in 0..3 {
+        step(&mut model, &mut ws);
+    }
+    let (allocs, ()) = count_allocs(|| {
+        for _ in 0..20 {
+            step(&mut model, &mut ws);
+        }
+    });
+    assert_eq!(
+        allocs,
+        0,
+        "post-warm-up NET-shape SGD steps must not allocate at width {} \
+         ({allocs} allocations in 20 steps)",
+        dfr_pool::max_threads()
+    );
 }
 
 #[test]

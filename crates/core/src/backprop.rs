@@ -235,36 +235,18 @@ impl RankOne {
                 && ((gm * max_abs_of(&self.r)) * self.s.abs()).is_finite())
     }
 
-    /// `w += alpha·(s·g·rᵀ)` in one row-by-row pass, associated as
-    /// [`Matrix::axpy`] computes it on the dense form:
-    /// `w_cj += alpha·((g_c·r_j)·s)`. Rows with `g_c == 0` are skipped:
-    /// the dense row adds `alpha·(0·s)`, which is `−0.0` — no change — for
-    /// `alpha = −lr` with `lr ≥ 0` and `s ≥ 0`, whereas `alpha·(0·r_j)`
-    /// would turn a `−0.0` weight into `+0.0` wherever `r_j < 0`.
-    ///
-    /// Returns whether every element of `w` is finite afterwards — the
-    /// check folded into the same pass.
+    /// `w += alpha·(s·g·rᵀ)` in one row-by-row pass
+    /// ([`Matrix::add_outer`]), associated as [`Matrix::axpy`] computes it
+    /// on the dense form: `w_cj += alpha·((g_c·r_j)·s)`, rows with
+    /// `g_c == 0` skipped. Returns whether every element of `w` is finite
+    /// afterwards.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `w`'s shape
     /// differs from [`RankOne::shape`].
     pub(crate) fn add_to(&self, alpha: f64, w: &mut Matrix) -> Result<bool, LinalgError> {
-        check_shape(w, self.shape())?;
-        let s = self.s;
-        let mut finite = true;
-        for (c, &gc) in self.g.iter().enumerate() {
-            let row = w.row_mut(c);
-            if gc == 0.0 {
-                finite &= row.iter().all(|w| w.is_finite());
-                continue;
-            }
-            for (w, &r) in row.iter_mut().zip(&self.r) {
-                *w += alpha * ((gc * r) * s);
-                finite &= w.is_finite();
-            }
-        }
-        Ok(finite)
+        w.add_outer(alpha, &self.g, &self.r, self.s)
     }
 
     /// `v = mu·v + s·g·rᵀ` elementwise on a dense accumulator — the dense

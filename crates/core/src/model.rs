@@ -239,7 +239,7 @@ impl<N: Nonlinearity + Clone> DfrClassifier<N> {
     /// points).
     fn finish_forward(&self, cache: &mut ForwardCache) -> Result<(), CoreError> {
         cache.features.resize(Dprr.dim(cache.run.nodes()), 0.0);
-        Dprr.normalized_into(cache.run.states(), &mut cache.features)?;
+        cache.run.features_into(&mut cache.features)?;
         cache.logits.resize(self.num_classes(), 0.0);
         cache.probs.resize(self.num_classes(), 0.0);
         // Fused readout epilogue: one pass over W_out (lockstep matvec),

@@ -19,7 +19,6 @@ use crate::workspace::TrainWorkspace;
 use crate::{metrics, CoreError};
 use dfr_data::Dataset;
 use dfr_linalg::{GemmWorkspace, Matrix};
-use dfr_reservoir::representation::Dprr;
 use dfr_reservoir::ReservoirRun;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -338,7 +337,7 @@ pub fn train(ds: &Dataset, options: &TrainOptions) -> Result<TrainReport, CoreEr
 
 /// Computes the DPRR feature matrix of a set of series under a model,
 /// through the same feature tail as [`DfrClassifier::forward`]
-/// ([`Dprr::normalized_into`]) so ridge-fitted readouts and SGD-trained
+/// ([`ReservoirRun::features_into`]) so ridge-fitted readouts and SGD-trained
 /// readouts see identical features.
 ///
 /// # Errors
@@ -390,7 +389,7 @@ where
         ReservoirRun::empty,
         |i, row, run| -> Result<(), CoreError> {
             model.reservoir().run_into(series[i], run)?;
-            Ok(Dprr.normalized_into(run.states(), row)?)
+            Ok(run.features_into(row)?)
         },
     )
 }

@@ -66,6 +66,23 @@ pub const K_BLOCK: usize = 64;
 
 const _: () = assert!(K_BLOCK % NR == 0);
 
+/// Multiply-add count below which a product (or a Gram's lower triangle,
+/// counted as half the square) runs inline instead of in pool bands.
+///
+/// Measured on a 2-core Xeon shared with other load, in three runs of
+/// 200–300 alternating inline and width-2 calls per shape: a scoped
+/// spawn + join costs p50 26–43 µs; below 2^20 multiply-adds every DPRR
+/// (30×30×k), square, `n×930` Gram and `930×10×n` product was slower
+/// banded in every run (1.09–1.79×). Between 2^20 and 2^21 banding lost in
+/// two runs (1.09–1.25×); in the third the `930×10×n` product won
+/// (0.90–0.97×) and the 67×930 Gram tied (1.01×). WALK's per-sample DPRR
+/// (30×30×1916, 1.72M) lies in that range and was 1.16–1.17× slower
+/// banded in all three, so 2^21 is the smallest power of two that keeps
+/// every per-sample product of the paper's datasets (at 30 nodes) inline.
+/// Size-based only — never thread-count-based — so the banding decision
+/// itself is deterministic.
+pub const PAR_MIN_MADDS: usize = 1 << 21;
+
 /// Reusable panel-packing buffers for the microkernel family.
 ///
 /// The only home for packing panels: every `_into` product form

@@ -1,14 +1,23 @@
-//! Runtime-dispatched SIMD GEMM microkernels (`DESIGN.md` §13).
+//! Runtime-dispatched SIMD GEMM microkernels and readout BLAS-2 passes
+//! (`DESIGN.md` §13).
 //!
 //! The register-tiled products of [`crate::gemm`] funnel every multiply-add
-//! through one `MR × NR` microkernel pair (accumulate / subtract). This
-//! module provides that pair in several instruction-set flavours and picks
-//! one **at runtime**:
+//! through one `MR × NR` microkernel pair (accumulate / subtract). The
+//! per-sample SGD step makes two more throughput-bound passes over the
+//! `N_y × N_r` readout — `Wᵀg` ([`crate::Matrix::t_matvec_into`]) and the
+//! rank-1 update ([`crate::Matrix::add_outer`]). This module provides all
+//! four in several instruction-set flavours and picks one **at runtime**:
 //!
 //! * `scalar` — the portable floor, plain Rust loops (always available).
 //! * `sse2` — 2-lane `__m128d` kernel (baseline on `x86_64`).
 //! * `avx2` — 4-lane `__m256d` kernel (requires runtime AVX2 detection).
 //! * `neon` — 2-lane `float64x2_t` kernel (baseline on `aarch64`).
+//!
+//! The two BLAS-2 passes have no hand-written SIMD: their safe bodies are
+//! elementwise loops that LLVM vectorises on its own, and the `avx2` entry
+//! is the same body compiled once more under
+//! `#[target_feature(enable = "avx2")]` — 4 lanes instead of the baseline's
+//! 2, no `fma`. The other entries share the baseline compile.
 //!
 //! # Bit-identity (the `DESIGN.md` §8 contract)
 //!
@@ -58,6 +67,15 @@ use std::sync::OnceLock;
 /// contiguous per `k` step ([`crate::gemm`]'s packing layout).
 pub type MicroKernelFn = fn(&[f64], &[f64], &mut [[f64; NR]; MR]);
 
+/// The transposed matrix-vector signature `(data, v, out)`: `out = Aᵀ·v`
+/// for a row-major `A` of `v.len()` rows and `out.len()` columns.
+pub type TMatvecFn = fn(&[f64], &[f64], &mut [f64]);
+
+/// The scaled rank-1 update signature `(w, alpha, g, r, s) -> finite`:
+/// `w += alpha·((g·rᵀ)·s)` on a row-major `g.len() × r.len()` matrix,
+/// returning whether every element of `w` is finite afterwards.
+pub type AddOuterFn = fn(&mut [f64], f64, &[f64], &[f64], f64) -> bool;
+
 /// Identifies one entry of the kernel table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
@@ -97,7 +115,8 @@ impl KernelKind {
     }
 }
 
-/// One entry of the dispatch table: a named microkernel pair.
+/// One entry of the dispatch table: a named microkernel pair plus the two
+/// BLAS-2 passes the per-sample SGD step makes over the readout.
 ///
 /// `&'static Kernel` is what the products pass into their parallel bands;
 /// the struct is `Sync` (function pointers and plain data), so one
@@ -106,6 +125,8 @@ pub struct Kernel {
     kind: KernelKind,
     pub(crate) mul_add: MicroKernelFn,
     pub(crate) mul_sub: MicroKernelFn,
+    pub(crate) t_matvec: TMatvecFn,
+    pub(crate) add_outer: AddOuterFn,
 }
 
 impl Kernel {
@@ -156,6 +177,62 @@ pub(crate) fn scalar_mul_sub(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; 
     }
 }
 
+// ---------------------------------------------------------------------------
+// BLAS-2 bodies: `Wᵀg` and the rank-1 readout update.
+// ---------------------------------------------------------------------------
+//
+// Both loops are elementwise across the output (each element is one
+// `k`-ascending chain of separate `mul` + `add`), so no reassociation is
+// needed to vectorise them and every compile of the same body is bitwise
+// identical. The bodies themselves (their baseline compile) back
+// `scalar`, `sse2` and `neon`; the `avx2` entry compiles the very same
+// safe body once more under `#[target_feature(enable = "avx2")]` (no
+// `fma`, no intrinsics), which lets LLVM widen the loops from 2 to 4
+// lanes.
+
+/// `out = Aᵀ·v` for a row-major `A` (`data`, `v.len()` rows of
+/// `out.len()` columns): `out` starts at `+0.0` and row `i` adds
+/// `v_i·A_ij` to every `out_j`, `i` ascending. No zero-skip on `v_i`:
+/// adding an exact-zero product never changes a finite accumulator that
+/// started at `+0.0` (it can never be `−0.0`), and the branch-free loop
+/// vectorises.
+#[inline(always)]
+fn t_matvec_body(data: &[f64], v: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    let cols = out.len();
+    if cols == 0 {
+        return;
+    }
+    for (&vi, row) in v.iter().zip(data.chunks_exact(cols)) {
+        for (o, &m) in out.iter_mut().zip(row) {
+            *o += vi * m;
+        }
+    }
+}
+
+/// `w_cj += alpha·((g_c·r_j)·s)` row by row, skipping rows with
+/// `g_c == 0`, and returning whether every element of `w` is finite
+/// afterwards (the check folded into the same pass).
+#[inline(always)]
+fn add_outer_body(w: &mut [f64], alpha: f64, g: &[f64], r: &[f64], s: f64) -> bool {
+    let cols = r.len();
+    if cols == 0 {
+        return true;
+    }
+    let mut finite = true;
+    for (&gc, row) in g.iter().zip(w.chunks_exact_mut(cols)) {
+        if gc == 0.0 {
+            finite &= row.iter().fold(true, |ok, w| ok & w.is_finite());
+            continue;
+        }
+        for (w, &rj) in row.iter_mut().zip(r) {
+            *w += alpha * ((gc * rj) * s);
+            finite &= w.is_finite();
+        }
+    }
+    finite
+}
+
 /// Checks the packed-panel invariant the raw-pointer kernels rely on and
 /// returns the shared `k` depth: `a_panel` holds `k` steps of `MR` lanes,
 /// `b_panel` `k` steps of `NR` lanes.
@@ -177,8 +254,35 @@ fn panel_depth(a_panel: &[f64], b_panel: &[f64]) -> usize {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{panel_depth, MR, NR};
+    use super::{add_outer_body, panel_depth, t_matvec_body, MR, NR};
     use std::arch::x86_64::*;
+
+    /// [`t_matvec_body`] compiled for AVX2 (4-lane `f64` vectors, no FMA).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (dispatch only installs this after
+    /// `is_x86_feature_detected!("avx2")`); the body is safe code.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn avx2_t_matvec(data: &[f64], v: &[f64], out: &mut [f64]) {
+        t_matvec_body(data, v, out);
+    }
+
+    /// [`add_outer_body`] compiled for AVX2 (4-lane `f64` vectors, no FMA).
+    ///
+    /// # Safety
+    ///
+    /// Same as [`avx2_t_matvec`].
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn avx2_add_outer(
+        w: &mut [f64],
+        alpha: f64,
+        g: &[f64],
+        r: &[f64],
+        s: f64,
+    ) -> bool {
+        add_outer_body(w, alpha, g, r, s)
+    }
 
     /// AVX2 multiply-add tile: the 4×8 accumulator lives in eight
     /// `__m256d` registers (two per row); each `k` step broadcasts the
@@ -377,6 +481,17 @@ mod x86_entry {
         // SAFETY: as above.
         unsafe { x86::avx2_mul_sub(a, b, acc) }
     }
+
+    pub(super) fn avx2_t_matvec(data: &[f64], v: &[f64], out: &mut [f64]) {
+        // SAFETY: AVX2 detected before dispatch installs this entry; the
+        // body is safe code.
+        unsafe { x86::avx2_t_matvec(data, v, out) }
+    }
+
+    pub(super) fn avx2_add_outer(w: &mut [f64], alpha: f64, g: &[f64], r: &[f64], s: f64) -> bool {
+        // SAFETY: as above.
+        unsafe { x86::avx2_add_outer(w, alpha, g, r, s) }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -519,6 +634,8 @@ static SCALAR: Kernel = Kernel {
     kind: KernelKind::Scalar,
     mul_add: scalar_mul_add,
     mul_sub: scalar_mul_sub,
+    t_matvec: t_matvec_body,
+    add_outer: add_outer_body,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -526,6 +643,8 @@ static SSE2: Kernel = Kernel {
     kind: KernelKind::Sse2,
     mul_add: x86_entry::sse2_mul_add,
     mul_sub: x86_entry::sse2_mul_sub,
+    t_matvec: t_matvec_body,
+    add_outer: add_outer_body,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -533,6 +652,8 @@ static AVX2: Kernel = Kernel {
     kind: KernelKind::Avx2,
     mul_add: x86_entry::avx2_mul_add,
     mul_sub: x86_entry::avx2_mul_sub,
+    t_matvec: x86_entry::avx2_t_matvec,
+    add_outer: x86_entry::avx2_add_outer,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -540,6 +661,8 @@ static NEON: Kernel = Kernel {
     kind: KernelKind::Neon,
     mul_add: arm_entry::neon_mul_add,
     mul_sub: arm_entry::neon_mul_sub,
+    t_matvec: t_matvec_body,
+    add_outer: add_outer_body,
 };
 
 /// Looks a kernel up by kind, returning `None` when it is not compiled

@@ -1,8 +1,8 @@
-use crate::gemm::{self, GemmWorkspace, MR};
+use crate::gemm::{self, GemmWorkspace, MR, PAR_MIN_MADDS};
 use crate::kernels::{self, Kernel};
 use crate::LinalgError;
 use std::fmt;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Range, Sub};
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -267,7 +267,7 @@ impl Matrix {
         let GemmWorkspace { a_pack, b_pack } = ws;
         gemm::pack_a(a_pack, m, k, |i, kk| self.data[i * k + kk]);
         gemm::pack_b(b_pack, n, k, |kk, j| rhs.data[kk * n + j]);
-        drive_bands(out, k, a_pack, b_pack, m * k * n, kernel);
+        drive_bands(out.as_mut_slice(), m, n, k, a_pack, b_pack, kernel);
         Ok(())
     }
 
@@ -306,18 +306,58 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let (m, k, n) = (self.cols, self.rows, rhs.cols);
-        out.resize(m, n);
+        out.resize(self.cols, rhs.cols);
+        self.t_matmul_rows_into(0..self.rows, rhs, 0..rhs.rows, out.as_mut_slice(), ws)
+    }
+
+    /// `self[a_rows]ᵀ · rhs[b_rows]` over borrowed row ranges, written
+    /// row-major into a caller-owned `self.cols() × rhs.cols()` slice —
+    /// the form behind [`Matrix::t_matmul_into`]. A row range of a
+    /// row-major matrix is contiguous, so both windows are packed in place
+    /// with no copy. The DPRR product block `X[1..T]ᵀ·X[0..T−1]` is this
+    /// product over two shifted windows of one state history.
+    ///
+    /// Row `p` of each window pairs with row `p` of the other: output
+    /// `(i, j)` is `Σ_p self[a_rows.start + p][i] · rhs[b_rows.start + p][j]`,
+    /// `p` ascending from `+0.0` — the same per-element chain, and so the
+    /// same bits, as every other packed product. Empty windows give zeros.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if the windows differ in
+    /// length or `out.len() != self.cols() · rhs.cols()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a range reaches past its matrix's rows.
+    pub fn t_matmul_rows_into(
+        &self,
+        a_rows: Range<usize>,
+        rhs: &Matrix,
+        b_rows: Range<usize>,
+        out: &mut [f64],
+        ws: &mut GemmWorkspace,
+    ) -> Result<(), LinalgError> {
+        let (m, k, n) = (self.cols, a_rows.len(), rhs.cols);
+        if b_rows.len() != k || out.len() != m * n {
+            return Err(LinalgError::ShapeMismatch {
+                op: "t_matmul_rows",
+                lhs: (k, m),
+                rhs: (b_rows.len(), n),
+            });
+        }
         if m == 0 || n == 0 {
             return Ok(());
         }
+        let a = &self.data[a_rows.start * m..a_rows.end * m];
+        let b = &rhs.data[b_rows.start * n..b_rows.end * n];
         let kernel = kernels::active();
         let GemmWorkspace { a_pack, b_pack } = ws;
-        // Left operand is selfᵀ: element (i, kk) of the product's A is
-        // self[kk][i]; packing linearises the strided walk once.
-        gemm::pack_a(a_pack, m, k, |i, kk| self.data[kk * m + i]);
-        gemm::pack_b(b_pack, n, k, |kk, j| rhs.data[kk * n + j]);
-        drive_bands(out, k, a_pack, b_pack, m * k * n, kernel);
+        // Left operand is the window's transpose: element (i, kk) of the
+        // product's A is a[kk][i]; packing linearises the strided walk once.
+        gemm::pack_a(a_pack, m, k, |i, kk| a[kk * m + i]);
+        gemm::pack_b(b_pack, n, k, |kk, j| b[kk * n + j]);
+        drive_bands(out, m, n, k, a_pack, b_pack, kernel);
         Ok(())
     }
 
@@ -366,7 +406,7 @@ impl Matrix {
         // Right operand is rhsᵀ: element (kk, j) of the product's B is
         // rhs[j][kk].
         gemm::pack_b(b_pack, n, k, |kk, j| rhs.data[j * k + kk]);
-        drive_bands(out, k, a_pack, b_pack, m * k * n, kernel);
+        drive_bands(out.as_mut_slice(), m, n, k, a_pack, b_pack, kernel);
         Ok(())
     }
 
@@ -518,17 +558,51 @@ impl Matrix {
                 rhs: (v.len(), 1),
             });
         }
-        out.fill(0.0);
-        // No zero-skip on `vi`: dense operands make the branch pure
-        // mispredict cost, and adding an exact-zero product never changes
-        // the (never negative-zero) accumulator of a finite sum, so the
-        // branch-free loop is bit-identical — and vectorisable.
-        for (i, &vi) in v.iter().enumerate() {
-            for (o, &m) in out.iter_mut().zip(self.row(i)) {
-                *o += vi * m;
-            }
-        }
+        // Elementwise over `out`, `i` ascending; the pass is compiled once
+        // per vector width and picked like the GEMM microkernel
+        // ([`kernels::active`]), bitwise the same under every kernel.
+        (kernels::active().t_matvec)(&self.data, v, out);
         Ok(())
+    }
+
+    /// The scaled rank-1 update `self += alpha·((g·rᵀ)·s)`, associated
+    /// per element as `w_cj += alpha·((g_c·r_j)·s)` — bitwise what
+    /// [`Matrix::axpy`] does with the dense `(g_c·r_j)·s` matrix. Rows with
+    /// `g_c == 0` are skipped: there the dense row holds `0·s`, and for
+    /// `alpha ≤ 0 ≤ s` (an SGD step) adding `alpha·(0·s) = −0.0` changes
+    /// nothing, whereas computing `alpha·((0·r_j)·s)` would turn a `−0.0`
+    /// weight into `+0.0` wherever `r_j < 0`.
+    ///
+    /// Returns whether every element of `self` is finite afterwards — the
+    /// check folded into the same pass. Like [`Matrix::t_matvec_into`],
+    /// the pass runs at the vector width of [`kernels::active`] with the
+    /// same bits under every kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `self` is not
+    /// `g.len() × r.len()`.
+    pub fn add_outer(
+        &mut self,
+        alpha: f64,
+        g: &[f64],
+        r: &[f64],
+        s: f64,
+    ) -> Result<bool, LinalgError> {
+        if self.shape() != (g.len(), r.len()) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "add_outer",
+                lhs: self.shape(),
+                rhs: (g.len(), r.len()),
+            });
+        }
+        Ok((kernels::active().add_outer)(
+            &mut self.data,
+            alpha,
+            g,
+            r,
+            s,
+        ))
     }
 
     /// Adds `alpha * rhs` to `self` in place.
@@ -803,35 +877,29 @@ fn matvec_rows(data: &[f64], cols: usize, v: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Multiply-add count below which a product stays serial: a scoped spawn
-/// costs ~10µs, so bands only pay off once there is real arithmetic to
-/// split. Size-based only — never thread-count-based — so the banding
-/// decision itself is deterministic.
-const PAR_MIN_MADDS: usize = 1 << 18;
-
-/// Fans the packed microkernel out over contiguous bands of output rows,
-/// one band per pool thread (or a single inline band when the arithmetic
-/// is too small to amortise a spawn). Band heights are rounded up to
-/// [`gemm::MR`] so every band starts on an A-panel boundary; the per-tile
-/// kernel — resolved once at product entry and carried into every band —
-/// is identical regardless of banding, so results are bit-identical at
-/// every thread count.
+/// Fans the packed microkernel out over contiguous bands of the `m × n`
+/// row-major output, one band per pool thread (or a single inline band
+/// when the arithmetic is too small to amortise a spawn). Band heights are
+/// rounded up to [`gemm::MR`] so every band starts on an A-panel boundary;
+/// the per-tile kernel — resolved once at product entry and carried into
+/// every band — is identical regardless of banding, so results are
+/// bit-identical at every thread count.
 fn drive_bands(
-    out: &mut Matrix,
+    out: &mut [f64],
+    m: usize,
+    n: usize,
     k: usize,
     a_pack: &[f64],
     b_pack: &[f64],
-    madds: usize,
     kernel: &'static Kernel,
 ) {
-    let (m, n) = out.shape();
-    let threads = if madds < PAR_MIN_MADDS {
-        1
-    } else {
-        dfr_pool::max_threads().clamp(1, m)
-    };
+    if m * n * k < PAR_MIN_MADDS {
+        gemm::gemm_band(out, m, n, k, a_pack, b_pack, kernel);
+        return;
+    }
+    let threads = dfr_pool::max_threads().clamp(1, m);
     let band_rows = m.div_ceil(threads).next_multiple_of(MR);
-    dfr_pool::par_chunks_mut(out.data.as_mut_slice(), band_rows * n, |band, out_band| {
+    dfr_pool::par_chunks_mut(out, band_rows * n, |band, out_band| {
         let rows_here = out_band.len() / n;
         let first_panel = band * band_rows / MR;
         let panels_here = rows_here.div_ceil(MR);
@@ -1056,8 +1124,12 @@ mod tests {
 
     #[test]
     fn products_identical_across_thread_counts() {
-        // Big enough to clear the serial threshold so bands really form.
-        let n = 96;
+        // Every product, the half-counted Gram triangles included, must
+        // clear the serial threshold so bands really form; odd `n` keeps
+        // bands and edge tiles ragged against MR, NR and K_BLOCK.
+        const N: usize = 163;
+        const _: () = assert!(N * N * N / 2 >= PAR_MIN_MADDS && N % 2 == 1);
+        let n = N;
         let a =
             Matrix::from_vec(n, n, (0..n * n).map(|i| (i as f64 * 0.37).sin()).collect()).unwrap();
         let b =

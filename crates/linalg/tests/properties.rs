@@ -2,7 +2,7 @@
 
 use dfr_linalg::activation::{cross_entropy_from_logits, log_sum_exp, softmax};
 use dfr_linalg::cholesky::Cholesky;
-use dfr_linalg::gemm::{K_BLOCK, MR, NR};
+use dfr_linalg::gemm::{K_BLOCK, MR, NR, PAR_MIN_MADDS};
 use dfr_linalg::kernels::{available, with_kernel, KernelKind};
 use dfr_linalg::ridge::{ridge_fit_with, RidgeMode, RidgePlan};
 use dfr_linalg::solver::{SolverKind, SolverPolicy, RCOND_MIN};
@@ -15,6 +15,21 @@ fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0_f64..10.0, rows * cols)
         .prop_map(move |v| Matrix::from_vec(rows, cols, v).expect("sized correctly"))
 }
+
+/// Operand shape of the thread-count determinism property: `a` is
+/// `BANDED_ROWS × BANDED_INNER`. Odd, so ragged against MR/NR/K_BLOCK, and
+/// large enough that every product it takes — the half-counted Gram
+/// triangles of both `a·aᵀ` and `aᵀ·a` included — clears
+/// `PAR_MIN_MADDS`; the assertion fails the build if the threshold
+/// outgrows them.
+const BANDED_ROWS: usize = 167;
+const BANDED_INNER: usize = 163;
+const _: () = assert!(
+    BANDED_ROWS * BANDED_ROWS * BANDED_INNER / 2 >= PAR_MIN_MADDS
+        && BANDED_INNER * BANDED_INNER * BANDED_ROWS / 2 >= PAR_MIN_MADDS
+        && BANDED_ROWS % 2 == 1
+        && BANDED_INNER % 2 == 1
+);
 
 /// Reinterprets `entries` (length `2n·n`) as a `2n×n` design whose last
 /// column is the sum of the others plus `eps` times an independent
@@ -192,6 +207,246 @@ fn cholesky_bit_identical_across_all_kernels() {
     }
 }
 
+/// The borrowed row-range product `X[a]ᵀ·Y[b]` — the form the DPRR
+/// product block runs through — pinned **bitwise** against the naive
+/// reference on the explicitly sliced windows, under every kernel, for
+/// shifted windows of one matrix (the DPRR shape) and of two, with empty
+/// windows writing zeros and mismatched windows rejected.
+#[test]
+fn t_matmul_rows_into_matches_naive_on_windows_across_all_kernels() {
+    fn rows_of(x: &Matrix, r: std::ops::Range<usize>) -> Matrix {
+        let flat = r.clone().flat_map(|i| x.row(i).to_vec()).collect();
+        Matrix::from_vec(r.len(), x.cols(), flat).expect("sized")
+    }
+    let mut ws = GemmWorkspace::new();
+    for (t, m, n) in [
+        (1usize, 3usize, 3usize),
+        (2, 30, 30),
+        (5, 9, 17),
+        (66, 30, 30),
+        (130, 5, 11),
+    ] {
+        let x = filled(t, m, 0.4);
+        let y = filled(t + 3, n, 2.2);
+        let steps = t - 1;
+        let dprr_want = naive_matmul(&rows_of(&x, 1..t).transpose(), &rows_of(&x, 0..steps));
+        let pair_want = naive_matmul(&x.transpose(), &rows_of(&y, 3..t + 3));
+        let cases = [
+            (1..t, &x, 0..steps, dprr_want),
+            (0..t, &y, 3..t + 3, pair_want),
+        ];
+        for (a_rows, rhs, b_rows, want) in cases {
+            for kernel in available() {
+                with_kernel(kernel.kind(), || {
+                    let mut out = vec![f64::NAN; want.len()];
+                    x.t_matmul_rows_into(a_rows.clone(), rhs, b_rows.clone(), &mut out, &mut ws)
+                        .unwrap();
+                    let got = Matrix::from_vec(want.rows(), want.cols(), out).unwrap();
+                    assert_bits_eq(&got, &want, &format!("{} t={t} {m}x{n}", kernel.name()));
+                });
+            }
+        }
+    }
+    let x = filled(4, 3, 0.1);
+    let mut out = vec![f64::NAN; 9];
+    x.t_matmul_rows_into(2..2, &x, 0..0, &mut out, &mut ws)
+        .unwrap();
+    assert!(
+        out.iter().all(|v| v.to_bits() == 0),
+        "empty windows give +0.0"
+    );
+    assert!(matches!(
+        x.t_matmul_rows_into(0..2, &x, 0..3, &mut out, &mut ws),
+        Err(LinalgError::ShapeMismatch { .. })
+    ));
+    assert!(matches!(
+        x.t_matmul_rows_into(0..2, &x, 1..3, &mut out[..8], &mut ws),
+        Err(LinalgError::ShapeMismatch { .. })
+    ));
+}
+
+/// Naive `Aᵀ·v`: `out_j` starts at `+0.0`, `i` ascending.
+fn naive_t_matvec(a: &Matrix, v: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; a.cols()];
+    for (i, &vi) in v.iter().enumerate() {
+        for (j, o) in out.iter_mut().enumerate() {
+            *o += vi * a[(i, j)];
+        }
+    }
+    out
+}
+
+/// Naive rank-1 update with the `g_c == 0` row skip; returns the
+/// finiteness of every element afterwards.
+fn naive_add_outer(w: &mut Matrix, alpha: f64, g: &[f64], r: &[f64], s: f64) -> bool {
+    for (c, &gc) in g.iter().enumerate() {
+        if gc != 0.0 {
+            for (j, &rj) in r.iter().enumerate() {
+                w[(c, j)] += alpha * ((gc * rj) * s);
+            }
+        }
+    }
+    w.as_slice().iter().all(|x| x.is_finite())
+}
+
+/// A vector with `+0.0`/`−0.0` entries and negatives, no pattern aligned
+/// to the vector width.
+fn zero_laced(len: usize, seed: f64) -> Vec<f64> {
+    (0..len)
+        .map(|i| match i % 7 {
+            2 => 0.0,
+            5 => -0.0,
+            _ => (i as f64 * 0.913 + seed).sin() * 3.0,
+        })
+        .collect()
+}
+
+/// The two BLAS-2 passes of the per-sample SGD step, `Wᵀg`
+/// ([`Matrix::t_matvec_into`]) and the rank-1 update
+/// ([`Matrix::add_outer`]), under every kernel: bitwise equal to the
+/// naive loops over ragged lengths (0, 1, 3 and the readout widths 930 and
+/// 931 around the vector width), `g_c == 0` rows over `−0.0` weights,
+/// and a finiteness flag that reports NaN, ∞ and products overflowing
+/// `f64::MAX` wherever they land.
+#[test]
+fn blas2_passes_bit_identical_across_all_kernels() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for cols in [0usize, 1, 3, 930, 931] {
+        for rows in [0usize, 1, 3, 7] {
+            let mut w0 = Matrix::from_vec(rows, cols, zero_laced(rows * cols, 0.3)).unwrap();
+            for c in 0..rows {
+                for j in 0..cols {
+                    if (c + j) % 3 == 0 {
+                        w0[(c, j)] = -0.0;
+                    }
+                }
+            }
+            let v = zero_laced(rows, 1.1);
+            // Row 0 (and every row ≡ 2 mod 7) has g_c == 0; the rest mix signs.
+            let g: Vec<f64> = (0..rows)
+                .map(|c| {
+                    if c % 7 == 0 || c % 7 == 2 {
+                        0.0
+                    } else {
+                        (c as f64 * 0.77).cos()
+                    }
+                })
+                .collect();
+            let r = zero_laced(cols, 2.5);
+            let want_tmv = naive_t_matvec(&w0, &v);
+            let mut want_w = w0.clone();
+            let want_ok = naive_add_outer(&mut want_w, -0.05, &g, &r, 0.75);
+            assert!(want_ok);
+            for kernel in available() {
+                with_kernel(kernel.kind(), || {
+                    let what = format!("{} {rows}x{cols}", kernel.name());
+                    let mut out = vec![f64::NAN; cols];
+                    w0.t_matvec_into(&v, &mut out).unwrap();
+                    assert_eq!(bits(&out), bits(&want_tmv), "{what} t_matvec");
+                    let mut w = w0.clone();
+                    assert!(w.add_outer(-0.05, &g, &r, 0.75).unwrap(), "{what} flag");
+                    assert_bits_eq(&w, &want_w, &format!("{what} add_outer"));
+                });
+            }
+        }
+    }
+
+    // The finiteness flag: (w, g, r, s, expected) cases on a 3×931 readout.
+    let (rows, cols) = (3usize, 931usize);
+    let base = Matrix::from_vec(rows, cols, zero_laced(rows * cols, 0.9)).unwrap();
+    let g = vec![0.0, 0.5, -2.0];
+    let r = zero_laced(cols, 0.2);
+    let mut nan_in_zero_row = base.clone();
+    nan_in_zero_row[(0, 930)] = f64::NAN;
+    let mut inf_in_live_row = base.clone();
+    inf_in_live_row[(2, 3)] = f64::NEG_INFINITY;
+    let mut r_inf = r.clone();
+    r_inf[929] = f64::INFINITY;
+    let mut r_nan = r.clone();
+    r_nan[0] = f64::NAN;
+    let mut r_huge = r.clone();
+    r_huge[930] = 1e300; // g·r = −2e300 is finite; ×s below overflows
+    /// `(what, w, g, r, s, expected flag)`.
+    type FlagCase<'a> = (&'a str, &'a Matrix, Vec<f64>, &'a [f64], f64, bool);
+    let cases: Vec<FlagCase> = vec![
+        ("finite", &base, g.clone(), &r, 1.0, true),
+        (
+            "NaN weight in a g_c == 0 row",
+            &nan_in_zero_row,
+            g.clone(),
+            &r,
+            1.0,
+            false,
+        ),
+        (
+            "−∞ weight in a live row",
+            &inf_in_live_row,
+            g.clone(),
+            &r,
+            1.0,
+            false,
+        ),
+        ("∞ feature", &base, g.clone(), &r_inf, 1.0, false),
+        ("NaN feature", &base, g.clone(), &r_nan, 1.0, false),
+        (
+            "NaN class factor",
+            &base,
+            vec![0.0, f64::NAN, 1.0],
+            &r,
+            1.0,
+            false,
+        ),
+        (
+            "|g·r| > f64::MAX",
+            &base,
+            vec![0.0, 1e200, 0.0],
+            &r_huge,
+            1.0,
+            false,
+        ),
+        ("(g·r)·s overflows", &base, g.clone(), &r_huge, 1e10, false),
+        (
+            "∞ feature under zero rows only",
+            &base,
+            vec![0.0; 3],
+            &r_inf,
+            1.0,
+            true,
+        ),
+    ];
+    for (what, w0, g, r, s, want) in cases {
+        let mut want_w = w0.clone();
+        assert_eq!(
+            naive_add_outer(&mut want_w, -1.0, &g, r, s),
+            want,
+            "{what}: reference"
+        );
+        for kernel in available() {
+            with_kernel(kernel.kind(), || {
+                let mut w = w0.clone();
+                assert_eq!(
+                    w.add_outer(-1.0, &g, r, s).unwrap(),
+                    want,
+                    "{} {what}",
+                    kernel.name()
+                );
+                let got: Vec<u64> = bits(w.as_slice());
+                assert_eq!(
+                    got,
+                    bits(want_w.as_slice()),
+                    "{} {what}: weights",
+                    kernel.name()
+                );
+            });
+        }
+    }
+    let mut w = base.clone();
+    assert!(matches!(
+        w.add_outer(-1.0, &[1.0, 2.0], &r, 1.0),
+        Err(LinalgError::ShapeMismatch { .. })
+    ));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -326,7 +581,10 @@ proptest! {
     /// bands genuinely form, with ragged dims (not multiples of MR/NR/
     /// K_BLOCK) so MR-rounded bands and masked edge tiles are exercised.
     #[test]
-    fn products_bit_identical_across_thread_counts(a in matrix(83, 69), b in matrix(69, 83)) {
+    fn products_bit_identical_across_thread_counts(
+        a in matrix(BANDED_ROWS, BANDED_INNER),
+        b in matrix(BANDED_INNER, BANDED_ROWS),
+    ) {
         let serial = dfr_pool::with_threads(1, || (
             a.matmul(&b).unwrap(),
             a.t_matmul(&a).unwrap(),

@@ -36,7 +36,7 @@
 //! 2. a process-wide override installed by [`set_threads`] (used by the
 //!    experiment binaries' `--threads` flag),
 //! 3. the `DFR_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 4. [`std::thread::available_parallelism`], queried once per process.
 //!
 //! A region inside a pool worker always runs serially (no nested fan-out),
 //! so outer layers — e.g. a dataset sweep — claim the threads and inner
@@ -98,7 +98,16 @@ pub fn max_threads() -> usize {
     if env > 0 {
         return env;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    host_threads()
+}
+
+/// [`std::thread::available_parallelism`] queried once. On Linux the query
+/// re-reads cgroup quota files (18–22 µs on a 2-core Xeon), and every
+/// top-level region asks for its width — even one that then runs inline —
+/// so an uncached call would cost more than a small product does.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Installs (or with `None` clears) the process-wide thread-count override.

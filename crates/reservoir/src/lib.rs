@@ -33,9 +33,9 @@
 //! let mask = Mask::binary(30, 1, 42);           // N_x = 30, one channel
 //! let dfr = ModularDfr::linear(mask, 0.1, 0.1)?; // A = B = 0.1, f(z) = z
 //! let series = Matrix::filled(50, 1, 1.0);       // T = 50 constant input
-//! let run = dfr.run(&series)?;
+//! let mut run = dfr.run(&series)?;
 //! let mut features = vec![0.0; Dprr.dim(30)];     // N_x (N_x + 1)
-//! Dprr.normalized_into(run.states(), &mut features)?; // DPRR sums / T
+//! run.features_into(&mut features)?;              // DPRR sums / T
 //! assert_eq!(features.len(), 30 * 31);
 //! # Ok(())
 //! # }

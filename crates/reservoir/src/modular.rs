@@ -16,6 +16,7 @@
 
 use crate::mask::Mask;
 use crate::nonlinearity::{Linear, Nonlinearity};
+use crate::representation::Dprr;
 use crate::ReservoirError;
 use dfr_linalg::{GemmWorkspace, Matrix};
 
@@ -382,8 +383,9 @@ pub fn recurrence_step<N: Nonlinearity>(
 pub struct ReservoirRun {
     masked: Matrix,
     states: Matrix,
-    /// GEMM packing panels for the mask product; carries no identity, so
-    /// runs still compare on their drive and states alone.
+    /// GEMM packing panels for the mask product and the DPRR product;
+    /// carries no identity, so runs still compare on their drive and
+    /// states alone.
     gemm: GemmWorkspace,
 }
 
@@ -456,6 +458,22 @@ impl ReservoirRun {
     /// The pre-activation `z(k)_n = j(k)_n + x(k−1)_n` fed to `f`.
     pub fn preactivation(&self, k: usize, n: usize) -> f64 {
         self.masked[(k, n)] + self.delayed_feedback(k, n)
+    }
+
+    /// The readout features of this run: [`Dprr::normalized_into`] over
+    /// the state history, packing the product block into the run's own
+    /// GEMM workspace (the one the mask product uses), so a recycled run
+    /// computes its features without allocating.
+    ///
+    /// # Errors
+    ///
+    /// [`ReservoirError::EmptySeries`] for a 0-row run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != Dprr.dim(self.nodes())`.
+    pub fn features_into(&mut self, out: &mut [f64]) -> Result<(), ReservoirError> {
+        Dprr.normalized_into(&self.states, out, &mut self.gemm)
     }
 
     /// Consumes the run, returning `(masked, states)`.

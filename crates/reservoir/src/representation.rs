@@ -10,9 +10,15 @@
 //! streaming pass, the frozen serving kernel) ends in
 //! [`Dprr::normalized_into`] or, when the sums are accumulated online, in
 //! [`Dprr::accumulate`] + [`Dprr::normalize`].
+//!
+//! The batch form is one packed GEMM, `X[1..T]ᵀ·X[0..T−1]`, through the
+//! same runtime-dispatched microkernel as every other dense product
+//! (`dfr_linalg::kernels`); the streaming form is its one-step rank-1
+//! update. Both keep each element's `k`-ascending chain, so they agree
+//! bitwise.
 
 use crate::ReservoirError;
-use dfr_linalg::Matrix;
+use dfr_linalg::{GemmWorkspace, Matrix};
 
 /// The dot-product reservoir representation (paper Eqs. 10–11, 18–19).
 ///
@@ -28,7 +34,7 @@ use dfr_linalg::Matrix;
 /// # Example
 ///
 /// ```
-/// use dfr_linalg::Matrix;
+/// use dfr_linalg::{GemmWorkspace, Matrix};
 /// use dfr_reservoir::representation::Dprr;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,7 +47,7 @@ use dfr_linalg::Matrix;
 /// assert_eq!(r[5], 6.0);
 /// // The readout sees the sums scaled by 1/T.
 /// let mut scaled = vec![0.0; Dprr.dim(2)];
-/// Dprr.normalized_into(&states, &mut scaled)?;
+/// Dprr.normalized_into(&states, &mut scaled, &mut GemmWorkspace::new())?;
 /// assert_eq!(scaled[4], 2.0);
 /// # Ok(())
 /// # }
@@ -59,7 +65,7 @@ impl Dprr {
     /// output vector.
     pub fn features(&self, states: &Matrix) -> Vec<f64> {
         let mut out = vec![0.0; self.dim(states.cols())];
-        self.features_into(states, &mut out);
+        self.features_into(states, &mut out, &mut GemmWorkspace::new());
         out
     }
 
@@ -67,7 +73,9 @@ impl Dprr {
     /// `1/T` ([`Dprr::normalize`]). Every batch feature path — the
     /// training forward pass, the ridge feature matrix and the frozen
     /// serving kernel — goes through this one function, so they agree
-    /// bitwise.
+    /// bitwise. `ws` holds the packing panels of the product block; each
+    /// path passes the one it already owns (a reservoir run's, a serving
+    /// workspace's), so steady-state calls do not allocate.
     ///
     /// # Errors
     ///
@@ -76,8 +84,13 @@ impl Dprr {
     /// # Panics
     ///
     /// Panics if `out.len() != self.dim(states.cols())`.
-    pub fn normalized_into(&self, states: &Matrix, out: &mut [f64]) -> Result<(), ReservoirError> {
-        self.features_into(states, out);
+    pub fn normalized_into(
+        &self,
+        states: &Matrix,
+        out: &mut [f64],
+        ws: &mut GemmWorkspace,
+    ) -> Result<(), ReservoirError> {
+        self.features_into(states, out, ws);
         Dprr::normalize(out, states.rows())
     }
 
@@ -109,10 +122,12 @@ impl Dprr {
 
     /// One step of the DPRR accumulation: `products += x(k) ⊗ x(k−1)` and
     /// `sums += x(k)` on a raw `N_x(N_x+1)` feature buffer (products
-    /// first, then sums). Rows with `x(k)_i == 0` skip the product update
-    /// exactly as [`Dprr::features_into`] does, so a buffer fed one step
-    /// at a time — the constant-memory streaming pass, which passes a
-    /// zeroed `x_prev` for `k = 0` — ends bitwise equal to the batch sums.
+    /// first, then sums). Rows with `x(k)_i == 0` skip the product update;
+    /// for finite states the skip is bit-exact against the batch product
+    /// of [`Dprr::features_into`], which adds those `±0.0` terms. A buffer
+    /// fed one step at a time — the constant-memory streaming pass, which
+    /// passes a zeroed `x_prev` for `k = 0` — so ends bitwise equal to the
+    /// batch sums.
     ///
     /// # Panics
     ///
@@ -136,87 +151,38 @@ impl Dprr {
         }
     }
 
-    /// Writes the raw DPRR sums of a `T × N_x` state history into `out`.
+    /// Writes the raw DPRR sums of a `T × N_x` state history into `out`,
+    /// packing into the caller's GEMM workspace.
+    ///
+    /// The product block (Eq. 10 / 18) is one packed product over two
+    /// shifted windows of `states`: `Σ_{k≥1} x(k) ⊗ x(k−1)` is
+    /// `X[1..T]ᵀ·X[0..T−1]` ([`Matrix::t_matmul_rows_into`]), whose
+    /// per-element chain is `k` ascending from `+0.0` — exactly the order
+    /// of the stepwise [`Dprr::accumulate`]. The stepwise form skips rows
+    /// with `x(k)_i == 0`; the product adds their `±0.0` terms instead,
+    /// which is bit-exact for finite states: the accumulator starts at
+    /// `+0.0`, and in round-to-nearest a sum is `−0.0` only when both
+    /// terms are, so adding a zero never changes it. (Non-finite states
+    /// never get here: the recurrence reports `Diverged` first.) The bias
+    /// block (Eq. 11 / 19) is the column sums, `k` ascending.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.dim(states.cols())`.
-    pub fn features_into(&self, states: &Matrix, out: &mut [f64]) {
+    pub fn features_into(&self, states: &Matrix, out: &mut [f64], ws: &mut GemmWorkspace) {
         let nx = states.cols();
         let t_len = states.rows();
         assert_eq!(out.len(), self.dim(nx), "output buffer has wrong length");
-        out.fill(0.0);
         let (products, sums) = out.split_at_mut(nx * nx);
-        let flat = states.as_slice();
-
-        // The product block (Eq. 10 / 18) is the rank-1 accumulation
-        // `products += x(k) ⊗ x(k−1)` over all steps (`x(−1) ≡ 0`), and its
-        // cost is dominated by re-reading and re-writing the `N_x²`
-        // accumulator once per step. Processing FOUR steps per sweep keeps
-        // the accumulator element in a register across the four
-        // contributions — ~4× less accumulator traffic — while each element
-        // still receives its contributions one `+=` at a time in strictly
-        // ascending `k`, so the result is bitwise identical to the
-        // one-step-at-a-time loop ([`Dprr::accumulate`]). The bias block
-        // (Eq. 11 / 19) is fused the same way. The `xi == 0` row skip is
-        // preserved exactly (adding a `0·x` term is *not* a bitwise no-op
-        // for −0.0), with mixed-zero groups falling back to narrower
-        // sweeps.
-        let mut k = 0;
-        if t_len > 0 {
-            // Step 0 contributes only to the bias block.
-            for (s, &xi) in sums.iter_mut().zip(&flat[..nx]) {
+        let steps = t_len.saturating_sub(1);
+        states
+            .t_matmul_rows_into(t_len - steps..t_len, states, 0..steps, products, ws)
+            .expect("both windows have `steps` rows of N_x columns");
+        sums.fill(0.0);
+        for k in 0..t_len {
+            for (s, &xi) in sums.iter_mut().zip(states.row(k)) {
                 *s += xi;
             }
-            k = 1;
-        }
-        while k + 4 <= t_len {
-            let window = &flat[(k - 1) * nx..(k + 4) * nx];
-            let (x0, c_rows) = window.split_at(nx); // x(k−1), then x(k)..x(k+3)
-            for i in 0..nx {
-                let c0 = c_rows[i];
-                let c1 = c_rows[nx + i];
-                let c2 = c_rows[2 * nx + i];
-                let c3 = c_rows[3 * nx + i];
-                let row = &mut products[i * nx..(i + 1) * nx];
-                if c0 != 0.0 && c1 != 0.0 && c2 != 0.0 && c3 != 0.0 {
-                    rank4(
-                        row,
-                        x0,
-                        c0,
-                        &c_rows[..nx],
-                        c1,
-                        &c_rows[nx..2 * nx],
-                        c2,
-                        &c_rows[2 * nx..3 * nx],
-                        c3,
-                    );
-                } else {
-                    // Narrow path: per-step updates with the exact skip.
-                    for (step, &c) in [c0, c1, c2, c3].iter().enumerate() {
-                        if c != 0.0 {
-                            rank1(row, &window[step * nx..(step + 1) * nx], c);
-                        }
-                    }
-                }
-            }
-            for (i, s) in sums.iter_mut().enumerate() {
-                let mut v = *s;
-                v += c_rows[i];
-                v += c_rows[nx + i];
-                v += c_rows[2 * nx + i];
-                v += c_rows[3 * nx + i];
-                *s = v;
-            }
-            k += 4;
-        }
-        while k < t_len {
-            Dprr::accumulate(
-                out,
-                &flat[(k - 1) * nx..k * nx],
-                &flat[k * nx..(k + 1) * nx],
-            );
-            k += 1;
         }
     }
 }
@@ -229,42 +195,14 @@ fn rank1(row: &mut [f64], x: &[f64], c: f64) {
     }
 }
 
-/// Accumulates four rank-1 contributions in one sweep, keeping each
-/// accumulator element in a register across the four `+=` operations (the
-/// additions stay separate and ordered — no reassociation, so results are
-/// bitwise identical to four [`rank1`] calls).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn rank4(
-    row: &mut [f64],
-    x0: &[f64],
-    c0: f64,
-    x1: &[f64],
-    c1: f64,
-    x2: &[f64],
-    c2: f64,
-    x3: &[f64],
-    c3: f64,
-) {
-    let n = row.len();
-    let (x0, x1, x2, x3) = (&x0[..n], &x1[..n], &x2[..n], &x3[..n]);
-    for j in 0..n {
-        let mut v = row[j];
-        v += c0 * x0[j];
-        v += c1 * x1[j];
-        v += c2 * x2[j];
-        v += c3 * x3[j];
-        row[j] = v;
-    }
-}
-
 /// Builds the raw DPRR feature matrix for a batch of state histories (one
 /// row per sample).
 ///
 /// Samples are independent, so rows are computed in parallel over the
 /// [`dfr_pool`] execution layer — each worker owns a contiguous band of
-/// output rows and every row is produced by the same per-sample kernel,
-/// making the result bit-identical at every thread count.
+/// output rows and one GEMM workspace, and every row is produced by the
+/// same per-sample kernel, making the result bit-identical at every thread
+/// count.
 pub fn feature_matrix(runs: &[Matrix]) -> Matrix {
     if runs.is_empty() {
         return Matrix::zeros(0, 0);
@@ -274,8 +212,8 @@ pub fn feature_matrix(runs: &[Matrix]) -> Matrix {
     if dim == 0 {
         return out;
     }
-    dfr_pool::par_chunks_mut(out.as_mut_slice(), dim, |i, row| {
-        Dprr.features_into(&runs[i], row);
+    dfr_pool::par_chunks_mut_with(out.as_mut_slice(), dim, GemmWorkspace::new, |i, row, ws| {
+        Dprr.features_into(&runs[i], row, ws);
     });
     out
 }
@@ -360,42 +298,71 @@ mod tests {
         assert_eq!(Dprr.features(&empty), vec![0.0; 12]);
         let mut out = vec![0.0; 12];
         assert_eq!(
-            Dprr.normalized_into(&empty, &mut out),
+            Dprr.normalized_into(&empty, &mut out, &mut GemmWorkspace::new()),
             Err(ReservoirError::EmptySeries)
         );
     }
 
+    /// A `t × nx` history mixing `+0.0` and `−0.0` entries, all-`+0.0`
+    /// and all-`−0.0` rows, and values spread over several binades, so
+    /// the product's added zero terms and ragged tiles are all exercised.
+    fn zero_laced_states(t: usize, nx: usize) -> Matrix {
+        let data = (0..t * nx)
+            .map(|idx| {
+                let (k, i) = (idx / nx, idx % nx);
+                match (k % 11, k % 13, idx % 5, idx % 7) {
+                    (4, ..) => 0.0,
+                    (_, 6, ..) => -0.0,
+                    (_, _, 2, _) => 0.0,
+                    (_, _, _, 3) => -0.0,
+                    _ => ((idx as f64) * 0.61).sin() * (1.0 + (i % 4) as f64 * 7.5),
+                }
+            })
+            .collect();
+        Matrix::from_vec(t, nx, data).unwrap()
+    }
+
     #[test]
-    fn step_accumulation_matches_batch_bitwise() {
-        // Rows with zeros (and a −0.0) exercise the exact row skip; T runs
-        // across the four-step sweep boundary and its ragged tails.
-        let rows: Vec<[f64; 3]> = vec![
-            [0.3, -0.0, 1.5],
-            [0.0, 2.0, -0.7],
-            [1.1, 0.4, 0.0],
-            [-0.2, 0.9, 0.6],
-            [0.5, 0.0, -1.3],
-            [0.7, -0.8, 0.1],
-            [0.0, 0.0, 0.0],
-            [1.9, 0.2, -0.4],
-            [-1.0, 0.3, 0.8],
-        ];
-        for t in 1..=rows.len() {
-            let flat: Vec<f64> = rows[..t].iter().flatten().copied().collect();
-            let states = Matrix::from_vec(t, 3, flat).unwrap();
-            let mut stepped = vec![0.0; Dprr.dim(3)];
-            let mut prev = [0.0; 3];
+    fn gemm_dprr_equals_stepwise_accumulate_bitwise_on_every_kernel() {
+        // The packed product drops the stepwise `x(k)_i == 0` row skip;
+        // this pins that the dropped skip changes no bit for finite states.
+        let first_diff = |a: &[f64], b: &[f64]| {
+            assert_eq!(a.len(), b.len());
+            a.iter()
+                .zip(b)
+                .position(|(x, y)| x.to_bits() != y.to_bits())
+        };
+        let nx = 30;
+        for t in [0usize, 1, 2, 3, 4, 5, 31, 993] {
+            let states = zero_laced_states(t, nx);
+            let mut stepped = vec![0.0; Dprr.dim(nx)];
+            let mut prev = vec![0.0; nx];
             for k in 0..t {
                 Dprr::accumulate(&mut stepped, &prev, states.row(k));
                 prev.copy_from_slice(states.row(k));
             }
-            let batch = Dprr.features(&states);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&stepped), bits(&batch), "T={t}");
-            let mut normalized = vec![0.0; Dprr.dim(3)];
-            Dprr.normalized_into(&states, &mut normalized).unwrap();
-            Dprr::normalize(&mut stepped, t).unwrap();
-            assert_eq!(bits(&stepped), bits(&normalized), "T={t}");
+            for kernel in dfr_linalg::kernels::available() {
+                dfr_linalg::kernels::with_kernel(kernel.kind(), || {
+                    let mut ws = GemmWorkspace::new();
+                    let mut batch = vec![f64::NAN; Dprr.dim(nx)];
+                    Dprr.features_into(&states, &mut batch, &mut ws);
+                    let diff = first_diff(&batch, &stepped);
+                    assert_eq!(
+                        diff,
+                        None,
+                        "{} T={t}: first differing feature",
+                        kernel.name()
+                    );
+                    let mut normalized = vec![0.0; Dprr.dim(nx)];
+                    let result = Dprr.normalized_into(&states, &mut normalized, &mut ws);
+                    let mut want = stepped.clone();
+                    assert_eq!(result, Dprr::normalize(&mut want, t));
+                    if t > 0 {
+                        let diff = first_diff(&normalized, &want);
+                        assert_eq!(diff, None, "{} T={t}: normalized", kernel.name());
+                    }
+                });
+            }
         }
     }
 
@@ -413,6 +380,6 @@ mod tests {
     #[should_panic(expected = "wrong length")]
     fn wrong_buffer_panics() {
         let mut buf = vec![0.0; 3];
-        Dprr.features_into(&states(), &mut buf);
+        Dprr.features_into(&states(), &mut buf, &mut GemmWorkspace::new());
     }
 }

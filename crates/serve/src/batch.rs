@@ -425,7 +425,7 @@ impl FrozenModel {
         // Rejects a 0-row series with `EmptySeries`, like every other
         // forward path (the network framing layer already refuses to
         // decode one, so in-process callers are the audience here).
-        Dprr.normalized_into(states, out)
+        Dprr.normalized_into(states, out, gemm)
     }
 }
 
